@@ -4,7 +4,7 @@ This formalises the ad-hoc ``BENCH_engine.json`` emitter into a
 subsystem: a :class:`BenchScenario` pins every input the measurement
 depends on (so two results are comparable exactly when their scenarios
 — and hence event counts — match), :func:`run_bench` measures engine
-throughput (plain / instrumented / legacy-heap loops, best-of-N
+throughput (plain / instrumented / reference heap loops, best-of-N
 rounds) and optionally full-suite throughput per jobs level, and
 :func:`gate_bench` turns a baseline + candidate pair into a pass/fail
 decision with a relative tolerance for machine variance.
@@ -357,7 +357,7 @@ def run_engine_bench(scenario: BenchScenario) -> Dict[str, float]:
     Returns ``events`` (loop length — the comparability anchor) and
     best-of-``rounds`` events/s for the default batched loop and — for
     ``measure="all"`` scenarios — the fully instrumented loop (trace +
-    sampler) and the legacy heap loop.
+    sampler) and the reference heap loop.
     """
     from repro.obs import MetricsSampler, Observer, TraceCollector
     from repro.simulator import simulate

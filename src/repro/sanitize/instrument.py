@@ -15,9 +15,11 @@ patching, and leaving restores every original:
   acquired the stream.
 * ``RngFactory.fork`` — records one ledger event per fork, so label
   drift in a sweep shows up as a site mismatch, not just downstream.
-* ``EventQueue.pop`` / ``drain_sorted`` — every popped simulation event
-  folds ``(event type, timestamp)`` into a per-phase hash, catching
-  event-order divergence independently of RNG draws.
+* ``EventQueue.pop`` — every popped simulation event folds ``(event
+  type, timestamp)`` into a per-phase hash, catching event-order
+  divergence independently of RNG draws.  The batched loop, which pops
+  nothing, feeds the same digest through the column-ledger hook of
+  :mod:`repro.simulator.events`.
 * ``TestbedCache.get_or_build`` — recording is *suspended* inside cache
   builds: a serial run builds each testbed once and reuses it, while
   every pool worker may rebuild it, so build-time draws legitimately
@@ -160,30 +162,6 @@ class SanitizerState:
         entry.record((crc * 1000003) ^ (hash(event.timestamp_ms)
                                         & _HASH_MASK))
 
-    def record_events(self, events: List[Any]) -> None:
-        """Batch :meth:`record_event` — the drained-loop fast path.
-
-        Folds the whole batch locally and writes the entry back once;
-        identical digest to per-event recording by construction.
-        """
-        if not events:
-            return
-        entry = self._event_entry
-        if entry is None:
-            entry = self._target.entry(self._phase_str, EVENT_SITE)
-            self._event_entry = entry
-        crc_cache = _TYPE_CRC
-        digest = entry.digest
-        for event in events:
-            name = type(event).__name__
-            crc = crc_cache.get(name)
-            if crc is None:
-                crc = crc_cache[name] = zlib.crc32(name.encode("ascii"))
-            draw = (crc * 1000003) ^ (hash(event.timestamp_ms) & _HASH_MASK)
-            digest = (digest * _POLY + draw) & _HASH_MASK
-        entry.digest = digest
-        entry.count += len(events)
-
     def record_event_stream(
         self, pairs: Iterator[Tuple[str, float]]
     ) -> None:
@@ -191,8 +169,8 @@ class SanitizerState:
 
         The batched event loop has no event objects for requests, so it
         feeds the merged stream as name/timestamp pairs.  The digest is
-        identical to :meth:`record_events` over the event objects the
-        legacy loops would have popped, by construction.
+        identical to :meth:`record_event` over the event objects the
+        reference loop pops, by construction.
         """
         entry = self._event_entry
         if entry is None:
@@ -336,7 +314,7 @@ class _ColumnLedgerHook:
     The batched event loop calls ``record_stream`` once per run with
     the merged (type name, timestamp) stream; gating on the module
     global keeps suspended sections (testbed-cache builds) out of the
-    ledger, exactly like the queue-pop patches.
+    ledger, exactly like the queue-pop patch.
     """
 
     def __init__(self, state: SanitizerState) -> None:
@@ -410,17 +388,6 @@ def _install(state: SanitizerState) -> List[_Patch]:
         return event
 
     patches.append(_Patch(EventQueue, "pop", pop))
-
-    original_drain = EventQueue.drain_sorted
-
-    def drain_sorted(self: EventQueue) -> List[Any]:
-        events = original_drain(self)
-        active = _ACTIVE
-        if active is not None:
-            active.record_events(events)
-        return events
-
-    patches.append(_Patch(EventQueue, "drain_sorted", drain_sorted))
 
     original_get_or_build = TestbedCache.get_or_build
 

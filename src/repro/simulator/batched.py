@@ -1,11 +1,10 @@
-"""The data-oriented batched event loop (``event_loop="batched"``).
+"""The batched event loop (``event_loop="batched"``, the default).
 
-The legacy loops (:mod:`repro.simulator.engine`'s ``"sorted"`` and
-``"heap"`` paths) dispatch one Python event object per step through a
-handler table, paying object construction, method dispatch, and
-per-event metric folds for every request.  This module replaces that
-hot path with a *slice kernel* over :class:`~repro.simulator.events.
-EventColumns`:
+The reference loop (:mod:`repro.simulator.reference`, ``"heap"``) pops
+one Python event object per step and runs each request through the
+cache, protocol, latency and metrics methods.  This module runs the
+same semantics as a *slice kernel* over :class:`~repro.simulator.
+events.EventColumns`:
 
 * Requests live as pre-extracted timestamp/cache/doc columns; no
   ``RequestEvent`` objects exist at all.
@@ -15,24 +14,30 @@ EventColumns`:
   no origin version changes, so requests are processed in a tight
   loop with every per-run constant bound to a local.
 * Cache state is driven inline: the kernel mutates the shared
-  :class:`~repro.simulator.state.CacheStore` records and the
-  replacement policies' :meth:`~repro.simulator.replacement.
-  ReplacementPolicy.hot_state` structures directly, replaying *exactly*
-  the operations the method path would have performed (same dict and
-  heap mutations, same float expressions, same order).
+  :class:`~repro.simulator.state.CacheStore` records and the utility
+  policy's :meth:`~repro.simulator.replacement.UtilityPolicy.hot_state`
+  structures directly, replaying *exactly* the operations the method
+  path would have performed (same dict and heap mutations, same float
+  expressions, same order).
 * Metrics accumulate into flat per-cache slots (Welford recurrence and
-  histogram binning inlined with identical arithmetic) and fold into
+  histogram binning with identical arithmetic) and fold into
   :class:`~repro.simulator.metrics.SimulationMetrics` once at end of
-  run; instrumented runs buffer trace rows per slice and mirror the
+  run; instrumented runs buffer trace records per slice and mirror the
   sampler's next-due tick in a local so observation costs one compare
   per event.
-* Barriers themselves run through the engine's legacy handlers — they
-  are rare, and reusing the exact handler code on the exact shared
-  state is what makes divergence structurally impossible there.
+* Barriers themselves run through the engine's barrier handlers — the
+  very methods the reference loop dispatches — so divergence there is
+  structurally impossible.
+
+The loop reads as five stages: slice planning (:func:`_plan_slices`),
+local hit, cooperative miss, placement, and barrier dispatch.  What
+several stages share — the latency fold, dropping a copy, the TTL
+check, the origin-fetch account, and the sampler and trace flushes —
+is written once, as a closure defined once per run.
 
 The contract — pinned by ``tests/simulator/test_batched_loop.py`` and
-the PR 5 sanitize ledger — is that a batched run is *bit-identical* to
-a ``"sorted"`` run: every metric, trace record, sample, and archived
+the sanitize ledger — is that a batched run is *bit-identical* to a
+``"heap"`` run: every metric, trace record, sample, and archived
 figure byte.  Any optimisation that would change a single float
 operation's order does not belong here.
 
@@ -45,53 +50,62 @@ little speed for zero duplication of rarely-hot logic.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
 
 from repro.obs.trace import KIND_REQUEST, TraceRecord
 from repro.simulator import events as events_module
-from repro.simulator.events import OriginUpdateEvent
+from repro.simulator.events import Event, EventColumns, OriginUpdateEvent
 
 if TYPE_CHECKING:
     from repro.simulator.engine import SimulationEngine
 
-#: Shared empty holder sequence: the miss path yields it when the
-#: directory has no entry, mirroring the empty list the legacy
-#: comprehension builds.  A tuple (not a list) so the module-level
-#: sharing is immutable by construction — the effect analysis treats
-#: module-level mutable containers as shared state.
-_NO_HOLDERS: Tuple[int, ...] = ()
+
+def _plan_slices(
+    positions: List[int],
+    barriers: Tuple[Event, ...],
+    total_requests: int,
+    warmup: int,
+) -> Iterator[Tuple[int, int, bool, Optional[Event]]]:
+    """Request slices ``(lo, hi, counted, barrier)`` in merged order.
+
+    Barrier ``k`` follows the requests before ``positions[k]``; the
+    last slice has no barrier after it (None).  A slice that straddles
+    the warm-up boundary is cut there, so ``counted`` is a constant
+    inside every slice.
+    """
+    lo = 0
+    for k, hi in enumerate(positions + [total_requests]):
+        if lo < warmup < hi:
+            yield lo, warmup, False, None
+            lo = warmup
+        barrier = barriers[k] if k < len(barriers) else None
+        yield lo, hi, lo >= warmup, barrier
+        lo = hi
 
 
 def _merged_stream(
-    req_ts: list, barriers: tuple, positions: list
+    req_ts: List[float], barriers: Tuple[Event, ...], positions: List[int]
 ) -> Iterator[Tuple[str, float]]:
     """(type name, timestamp) pairs in merged pop order (ledger feed)."""
-    lo = 0
-    for index, barrier in enumerate(barriers):
-        hi = positions[index]
-        for j in range(lo, hi):
-            yield ("RequestEvent", req_ts[j])
-        lo = hi
-        yield (type(barrier).__name__, barrier.timestamp_ms)
-    for j in range(lo, len(req_ts)):
-        yield ("RequestEvent", req_ts[j])
+    for lo, hi, _, barrier in _plan_slices(
+        positions, barriers, len(req_ts), 0
+    ):
+        for ts in req_ts[lo:hi]:
+            yield ("RequestEvent", ts)
+        if barrier is not None:
+            yield (type(barrier).__name__, barrier.timestamp_ms)
 
 
-def run_batched(engine: "SimulationEngine") -> int:
+def run_batched(engine: "SimulationEngine", columns: EventColumns) -> int:
     """Process the engine's event columns; returns the event count.
 
     Mutates the engine's shared state (store, policies, protocol,
-    metrics, observer) exactly as the legacy loops would; the engine's
-    ``run()`` wraps this with the common throughput/conservation
-    postlude.
+    metrics, observer) exactly as the reference loop would; the
+    engine's ``run()`` wraps this with the common throughput and
+    conservation postlude.
     """
-    columns = engine._columns
-    if columns is None or engine._columns_consumed:
-        return 0
-    engine._columns_consumed = True
-
     # -- event stream ------------------------------------------------
     req_ts = columns.req_timestamps.tolist()
     req_cache = columns.req_caches.tolist()
@@ -99,13 +113,12 @@ def run_batched(engine: "SimulationEngine") -> int:
     barriers = columns.barriers
     positions = columns.barrier_positions.tolist()
     total_requests = len(req_ts)
-    num_barriers = len(barriers)
 
     hook = events_module.column_ledger()
     if hook is not None:
-        # Sorted runs record the full drained stream before processing;
-        # feeding the merged columns up front keeps ledger parity even
-        # for runs that fail mid-way.
+        # Feeding the merged stream up front keeps ledger parity with
+        # the reference loop's per-pop records even for runs that fail
+        # mid-way.
         hook.record_stream(_merged_stream(req_ts, barriers, positions))
 
     # -- shared state, bound to locals -------------------------------
@@ -118,29 +131,29 @@ def run_batched(engine: "SimulationEngine") -> int:
     store = engine._store
     used = store.used
     caches = engine._caches
-    docs_by = [None] * size_index
+    docs_by: List[Any] = [None] * size_index
     cap_by = [0] * size_index
     for node in nodes:
         docs_by[node] = store.docs[node]
         cap_by[node] = caches[node].capacity_bytes
 
     util_mode = config.cache.replacement_policy == "utility"
-    policy_by = [None] * size_index
-    acc_by = [None] * size_index
-    psz_by = [None] * size_index
-    pfc_by = [None] * size_index
-    pinv_by = [None] * size_index
-    pver_by = [None] * size_index
-    heap_by = [None] * size_index
+    policy_by: List[Any] = [None] * size_index
+    acc_by: List[Any] = [None] * size_index
+    psz_by: List[Any] = [None] * size_index
+    pfc_by: List[Any] = [None] * size_index
+    pinv_by: List[Any] = [None] * size_index
+    pver_by: List[Any] = [None] * size_index
+    heap_by: List[Any] = [None] * size_index
     # Deferred heap entries: the utility policy's (score, version, doc)
     # pushes buffer here and flush into the real heap only when an
     # eviction is about to read it.  Tuple comparison is a total order
     # (per-doc versions make entries distinct), so heap *pop order*
     # depends only on the entry multiset, never on push order — which
     # is what makes the deferral invisible to victim selection.
-    pend_by = [None] * size_index
+    pend_by: List[Any] = [None] * size_index
     for node in nodes:
-        policy = caches[node].policy
+        policy: Any = caches[node].policy
         policy_by[node] = policy
         if util_mode:
             hot = policy.hot_state()
@@ -153,24 +166,23 @@ def run_batched(engine: "SimulationEngine") -> int:
             pend_by[node] = []
 
     protocol = engine._protocol
-    proto = protocol.hot_state()
+    proto: Any = protocol.hot_state()
     holders_map = proto["holders"]
     lookup_ms = proto["lookup_ms"]
     partition_timeout_ms = proto["partition_timeout_ms"]
     beacon_mode = proto["mode"] == "beacon"
-    directory_mode = proto["mode"] == "directory"
+    inline_lookup = beacon_mode or proto["mode"] == "directory"
     proto_lookup = protocol.lookup
-    proto_holders = protocol.holders_in_group
     group_by = [-1] * size_index
-    peers_by = [None] * size_index
-    members_by = [None] * size_index
+    peers_by: List[Any] = [None] * size_index
+    members_by: List[Any] = [None] * size_index
     for node in nodes:
         group_by[node] = proto["group_of"][node]
         peers_by[node] = proto["peers"][node]
         members_by[node] = proto["members_sorted"][node]
 
     rtt = network.distances.as_array()
-    rtt_by = [None] * size_index
+    rtt_by: List[Any] = [None] * size_index
     for node in nodes:
         rtt_by[node] = rtt[node].tolist()
 
@@ -200,7 +212,7 @@ def run_batched(engine: "SimulationEngine") -> int:
 
     down = engine._down
     partition_of = engine._partition_of
-    origin_load = engine._origin_load
+    origin_load: Any = engine._origin_load
     queueing = origin_load is not None
     if queueing:
         record_arrival = origin_load.record_arrival
@@ -209,7 +221,7 @@ def run_batched(engine: "SimulationEngine") -> int:
     # -- metric accumulators -----------------------------------------
     metrics = engine._metrics
     warmup = engine._warmup_remaining
-    lat_by = [None] * size_index
+    lat_by: List[Any] = [None] * size_index
     for node in nodes:
         lat_by[node] = [0, 0.0, 0.0, inf, -inf]
     m_local = [0] * size_index
@@ -227,561 +239,393 @@ def run_batched(engine: "SimulationEngine") -> int:
     hist_width = hist.bin_width
     overflow_bin = hist.num_bins - 1
     bins = [0] * hist.num_bins
-    hist_count = 0
     hist_sum = 0.0
-    hist_min = inf
-    hist_max = -inf
-    # Local hits all share the constant local-processing latency; its
-    # bin is the same every time (binned by the identical rule).
-    local_bin = int(local_ms / hist_width)
-    if local_bin >= overflow_bin:
-        local_bin = overflow_bin
 
     # -- instrumentation ---------------------------------------------
     observer = engine._observer
     instrumented = engine._instrumented
-    trace = observer.trace if instrumented else None
-    sampler = observer.sampler if instrumented else None
-    trace_buf: list = []
+    trace: Any = observer.trace if instrumented else None
+    sampler: Any = observer.sampler if instrumented else None
+    trace_buf: List[TraceRecord] = []
     window_local = window_group = window_origin = 0
-    window_totals: list = []
+    window_totals: List[float] = []
     next_tick = sampler.next_tick_ms if sampler is not None else inf
     sample_gauges = engine._sample_gauges
 
-    handlers = engine._handlers
+    barrier_handlers = engine._barrier_handlers
+
+    # -- blocks shared by several stages -----------------------------
+
+    def fold(c: int, total: float) -> None:
+        """Fold one counted request's latency into cache ``c``'s
+        Welford slot and the global histogram (the arithmetic of
+        :meth:`SimulationMetrics.record_request`)."""
+        nonlocal hist_sum
+        slot = lat_by[c]
+        n = slot[0] + 1
+        slot[0] = n
+        delta = total - slot[1]
+        mean = slot[1] + delta / n
+        slot[1] = mean
+        slot[2] += delta * (total - mean)
+        if total < slot[3]:
+            slot[3] = total
+        if total > slot[4]:
+            slot[4] = total
+        bin_index = int(total / hist_width)
+        if bin_index >= overflow_bin:
+            bin_index = overflow_bin
+        bins[bin_index] += 1
+        hist_sum += total
+
+    def drop_copy(node: int, doc: int) -> None:
+        """Remove a resident copy under the utility policy: the inline
+        ``EdgeCache._remove`` + ``UtilityPolicy.on_remove`` +
+        ``GroupProtocol.drop_copy``."""
+        used[node] -= docs_by[node].pop(doc)[0]
+        del acc_by[node][doc]
+        del psz_by[node][doc]
+        del pfc_by[node][doc]
+        del pver_by[node][doc]
+        group = group_by[node]
+        by_group = holders_map.get(doc)
+        if by_group:
+            held = by_group.get(group)
+            if held is not None:
+                held.discard(node)
+                if not held:
+                    del by_group[group]
+            if not by_group:
+                del holders_map[doc]
+
+    def unexpired(node: int, doc: int, ts: float) -> Any:
+        """``node``'s record of ``doc``, or None — a copy whose TTL
+        lapsed is dropped first, before it can serve anything."""
+        record = docs_by[node].get(doc)
+        if record is not None and ts - record[1] > ttl_ms:
+            if util_mode:
+                drop_copy(node, doc)
+            else:
+                caches[node].expire(doc)
+            return None
+        return record
+
+    def origin_account(
+        c: int, ts: float, query: float
+    ) -> Tuple[float, float]:
+        """``(query, fetch)`` latency of an origin fetch by cache ``c``.
+
+        A cache partitioned away from the origin first waits out the
+        partition timeout; the fetch is the RTT plus origin processing,
+        inflated by the current load when origin queueing is on.
+        """
+        if partition_of and (
+            partition_of.get(c) != partition_of.get(origin_node)
+        ):
+            query = query + partition_timeout_ms
+            m_ptimeout[c] += 1
+        if queueing:
+            record_arrival(ts)
+            return query, (
+                rtt0_by[c] + origin_processing * inflation_factor(ts)
+            )
+        return query, fetch0_by[c]
+
+    def flush_samples(until: float) -> None:
+        """Fold the buffered window into the sampler, then flush every
+        sample tick at or before ``until`` (the reference loop's
+        pre-event flush)."""
+        nonlocal window_local, window_group, window_origin, next_tick
+        if window_totals:
+            sampler.observe_batch(
+                window_local, window_group, window_origin, window_totals
+            )
+            window_local = window_group = window_origin = 0
+            window_totals.clear()
+        while next_tick <= until:
+            sampler.flush(next_tick, **sample_gauges(next_tick))
+            next_tick = sampler.next_tick_ms
+
+    def flush_trace() -> None:
+        """Hand the buffered request records to the trace collector."""
+        if trace_buf:
+            trace.record_many(trace_buf)
+            trace_buf.clear()
 
     # -- the slice loop ----------------------------------------------
-    # Each barrier slice is further split at the warm-up boundary so
-    # ``counted`` is a loop constant, and iterated with one zip over
-    # list slices instead of three indexed loads per event.
-    barrier_index = 0
-    i = 0
-    while True:
-        hi = (
-            positions[barrier_index]
-            if barrier_index < num_barriers
-            else total_requests
-        )
-        lo = i
-        while lo < hi:
-            if lo < warmup:
-                sub_hi = hi if hi <= warmup else warmup
-                counted = False
+    for lo, hi, counted, barrier in _plan_slices(
+        positions, barriers, total_requests, warmup
+    ):
+        # Failures and partitions only move at barriers: whether any
+        # holder may be unreachable is a constant of the slice.
+        degraded = bool(down or partition_of)
+        for ts, c, d in zip(
+            req_ts[lo:hi], req_cache[lo:hi], req_doc[lo:hi]
+        ):
+            if next_tick <= ts:
+                flush_samples(ts)
+
+            if down and c in down:
+                # Down cache: client falls through to the origin
+                # directly (no group help, nothing cached).
+                m_down[c] += 1
+                size = sizes[d]
+                query, fetch = origin_account(c, ts, 0.0)
+                transfer = size / bandwidth
+                total = local_ms + query + fetch + transfer
+                if counted:
+                    fold(c, total)
+                    m_origin[c] += 1
+                    m_origin_bytes[c] += size
+                if sampler is not None:
+                    window_origin += 1
+                    window_totals.append(total)
+                if trace is not None:
+                    trace_buf.append(TraceRecord(
+                        KIND_REQUEST, ts, c, d, "origin_fetch", total,
+                        query, fetch, transfer, 0, size, counted, False,
+                    ))
+                continue
+
+            # ---- local hit ----
+            if ttl_mode:
+                record = unexpired(c, d, ts)
             else:
-                sub_hi = hi
-                counted = True
-            lo_next = sub_hi
-            for ts, c, d in zip(
-                req_ts[lo:sub_hi],
-                req_cache[lo:sub_hi],
-                req_doc[lo:sub_hi],
-            ):
-                if next_tick <= ts:
-                    # Flush every sample boundary preceding this event
-                    # (mirrors the legacy pre-event flush loop).
-                    if window_totals:
-                        sampler.observe_batch(
-                            window_local, window_group, window_origin,
-                            window_totals,
-                        )
-                        window_local = window_group = window_origin = 0
-                        window_totals = []
-                    while next_tick <= ts:
-                        sampler.flush(next_tick, **sample_gauges(next_tick))
-                        next_tick = sampler.next_tick_ms
+                record = docs_by[c].get(d)
+            if record is not None:
+                if util_mode:
+                    acc_c = acc_by[c]
+                    accesses = acc_c[d] + 1
+                    acc_c[d] = accesses
+                    pver_c = pver_by[c]
+                    version = pver_c[d] + 1
+                    pver_c[d] = version
+                    pend_by[c].append((
+                        accesses * pfc_by[c][d]
+                        / (psz_by[c][d] * (1.0 + pinv_by[c][d])),
+                        version,
+                        d,
+                    ))
+                else:
+                    policy_by[c].on_access(d, ts)
+                stale = record[2] < origin_version[d]
+                if counted:
+                    fold(c, local_ms)
+                    m_local[c] += 1
+                    if stale:
+                        m_stale[c] += 1
+                if sampler is not None:
+                    window_local += 1
+                    window_totals.append(local_ms)
+                if trace is not None:
+                    trace_buf.append(TraceRecord(
+                        KIND_REQUEST, ts, c, d, "local_hit", local_ms,
+                        0.0, 0.0, 0.0, 0, 0, counted, stale,
+                    ))
+                continue
 
-
-                if down and c in down:
-                    # Down cache: client falls through to the origin
-                    # directly (no group help, nothing cached).
-                    m_down[c] += 1
-                    size = sizes[d]
-                    query = 0.0
-                    if partition_of and (
-                        partition_of.get(c) != partition_of.get(origin_node)
-                    ):
-                        query = query + partition_timeout_ms
-                        m_ptimeout[c] += 1
-                    if queueing:
-                        record_arrival(ts)
-                        fetch = (
-                            rtt0_by[c]
-                            + origin_processing * inflation_factor(ts)
-                        )
+            # ---- cooperative miss ----
+            size = sizes[d]
+            rtt_c = rtt_by[c]
+            hit = False
+            holder = -1
+            if not peers_by[c]:
+                query = 0.0
+                messages = 0
+            elif inline_lookup:
+                by_group = holders_map.get(d)
+                if beacon_mode:
+                    members = members_by[c]
+                    beacon = members[(d * 2654435761) % len(members)]
+                    if beacon == c:
+                        query = lookup_ms + 0.0
+                        messages = 0
                     else:
-                        fetch = fetch0_by[c]
-                    transfer = size / bandwidth
-                    total = local_ms + query + fetch + transfer
-                    if counted:
-                        slot = lat_by[c]
-                        n = slot[0] + 1
-                        slot[0] = n
-                        delta = total - slot[1]
-                        mean = slot[1] + delta / n
-                        slot[1] = mean
-                        slot[2] += delta * (total - mean)
-                        if total < slot[3]:
-                            slot[3] = total
-                        if total > slot[4]:
-                            slot[4] = total
-                        bin_index = int(total / hist_width)
-                        if bin_index >= overflow_bin:
-                            bin_index = overflow_bin
-                        bins[bin_index] += 1
-                        hist_count += 1
-                        hist_sum += total
-                        if total < hist_min:
-                            hist_min = total
-                        if total > hist_max:
-                            hist_max = total
-                        m_origin[c] += 1
-                        m_origin_bytes[c] += size
-                    if sampler is not None:
-                        window_origin += 1
-                        window_totals.append(total)
-                    if trace is not None:
-                        trace_buf.append((
-                            ts, c, d, "origin_fetch", total, query, fetch,
-                            transfer, 0, size, counted, False,
-                        ))
-                    continue
+                        query = lookup_ms + rtt_c[beacon]
+                        messages = 2
+                        if down and beacon in down:
+                            # The beacon is the only member who knows
+                            # the holders: the query times out.
+                            messages = 1
+                            by_group = None
+                        elif partition_of and (
+                            partition_of.get(c) != partition_of.get(beacon)
+                        ):
+                            query = lookup_ms + partition_timeout_ms
+                            messages = 1
+                            by_group = None
+                else:
+                    # The group directory is idealised: it never fails.
+                    query = lookup_ms
+                    messages = 2
+                if by_group is not None:
+                    held = by_group.get(group_by[c])
+                    if held is not None:
+                        if degraded:
+                            # Skip down and cut-off holders, as
+                            # GroupProtocol.holders_in_group does.
+                            side = partition_of.get(c)
+                            held = [
+                                h for h in held
+                                if h not in down
+                                and partition_of.get(h) == side
+                            ]
+                        # First-min scan in the set's order with the
+                        # strict-less comparison of GroupProtocol.lookup.
+                        best_rtt = inf
+                        for h in held:
+                            if h != c:
+                                candidate_rtt = rtt_c[h]
+                                if candidate_rtt < best_rtt:
+                                    best_rtt = candidate_rtt
+                                    holder = h
+                        hit = holder >= 0
+            else:
+                # Multicast (and any future mode): the full method.
+                result = proto_lookup(c, d)
+                query = result.query_ms
+                messages = result.messages
+                if result.holder is not None:
+                    hit = True
+                    holder = result.holder
 
-                docs_c = docs_by[c]
-                record = docs_c.get(d)
-                if record is not None and ttl_mode and (
-                    ts - record[1] > ttl_ms
-                ):
-                    # TTL lapsed: drop the copy before it serves anything.
-                    if util_mode:
-                        used[c] -= record[0]
-                        del docs_c[d]
-                        del acc_by[c][d]
-                        del psz_by[c][d]
-                        del pfc_by[c][d]
-                        del pver_by[c][d]
-                        by_group = holders_map.get(d)
-                        if by_group:
-                            held = by_group.get(group_by[c])
-                            if held is not None:
-                                held.discard(c)
-                                if not held:
-                                    del by_group[group_by[c]]
-                            if not by_group:
-                                del holders_map[d]
-                    else:
-                        caches[c].expire(d)
-                    record = None
+            if hit and ttl_mode and unexpired(holder, d, ts) is None:
+                # The holder's own copy lapsed: degrade to a miss.
+                hit = False
 
-                if record is not None:
-                    # ---- local hit ----
-                    if util_mode:
+            if hit:
+                fetch = rtt_c[holder]
+                fetched_version = docs_by[holder][d][2]
+            else:
+                query, fetch = origin_account(c, ts, query)
+                fetched_version = origin_version[d]
+            transfer = size / bandwidth
+            total = local_ms + query + fetch + transfer
+
+            # ---- placement ----
+            if cooperative and hit and rtt_c[holder] <= placement_threshold:
+                m_skips[c] += 1
+            else:
+                fetch_cost = fetch + transfer
+                if util_mode:
+                    admitted = False
+                    cap_c = cap_by[c]
+                    if size <= cap_c:
+                        docs_c = docs_by[c]
                         acc_c = acc_by[c]
-                        accesses = acc_c[d] + 1
-                        acc_c[d] = accesses
+                        psz_c = psz_by[c]
+                        pfc_c = pfc_by[c]
                         pver_c = pver_by[c]
-                        version = pver_c[d] + 1
+                        heap_c = heap_by[c]
+                        if used[c] + size > cap_c:
+                            # Eviction will read the heap: flush the
+                            # deferred entries first.
+                            pend_c = pend_by[c]
+                            if pend_c:
+                                for entry in pend_c:
+                                    heappush(heap_c, entry)
+                                del pend_c[:]
+                        while used[c] + size > cap_c:
+                            # Lazy-heap victim selection: pop stale
+                            # entries, evict the live minimum.
+                            while True:
+                                top = heap_c[0]
+                                if pver_c.get(top[2]) == top[1]:
+                                    break
+                                heappop(heap_c)
+                            drop_copy(c, top[2])
+                        docs_c[d] = [size, ts, fetched_version]
+                        used[c] += size
+                        acc_c[d] = 1
+                        psz_c[d] = size
+                        # Re-fetch cost is at least a token cost even
+                        # for free fetches (policy on_insert rule).
+                        cost = fetch_cost if fetch_cost > 0.01 else 0.01
+                        pfc_c[d] = cost
+                        invalidations = pinv_by[c].setdefault(d, 0)
+                        version = pver_c.get(d, 0) + 1
                         pver_c[d] = version
                         pend_by[c].append((
-                            accesses * pfc_by[c][d]
-                            / (psz_by[c][d] * (1.0 + pinv_by[c][d])),
+                            1 * cost / (size * (1.0 + invalidations)),
                             version,
                             d,
                         ))
-                    else:
-                        policy_by[c].on_access(d, ts)
-                    stale = record[2] < origin_version[d]
-                    if counted:
-                        slot = lat_by[c]
-                        n = slot[0] + 1
-                        slot[0] = n
-                        delta = local_ms - slot[1]
-                        mean = slot[1] + delta / n
-                        slot[1] = mean
-                        slot[2] += delta * (local_ms - mean)
-                        if local_ms < slot[3]:
-                            slot[3] = local_ms
-                        if local_ms > slot[4]:
-                            slot[4] = local_ms
-                        bins[local_bin] += 1
-                        hist_count += 1
-                        hist_sum += local_ms
-                        if local_ms < hist_min:
-                            hist_min = local_ms
-                        if local_ms > hist_max:
-                            hist_max = local_ms
-                        m_local[c] += 1
-                        if stale:
-                            m_stale[c] += 1
-                    if sampler is not None:
-                        window_local += 1
-                        window_totals.append(local_ms)
-                    if trace is not None:
-                        trace_buf.append((
-                            ts, c, d, "local_hit", local_ms, 0.0, 0.0, 0.0,
-                            0, 0, counted, stale,
-                        ))
-                    continue
-
-                # ---- local miss: cooperative lookup ----
-                size = sizes[d]
-                rtt_c = rtt_by[c]
-                peers = peers_by[c]
-                hit = False
-                holder = None
-                if not peers:
-                    query = 0.0
-                    messages = 0
-                elif beacon_mode or directory_mode:
-                    if down or partition_of:
-                        # Degraded path (rare): the full protocol filter
-                        # over down/partitioned holders.
-                        holders: Sequence[int] = proto_holders(c, d)
-                        if directory_mode:
-                            query = lookup_ms
-                            messages = 2
-                        else:
-                            members = members_by[c]
-                            beacon = members[
-                                (d * 2654435761) % len(members)
-                            ]
-                            if beacon == c:
-                                query = lookup_ms + 0.0
-                                messages = 0
-                            else:
-                                query = lookup_ms + rtt_c[beacon]
-                                messages = 2
-                                if down and beacon in down:
-                                    # The beacon is the only member who
-                                    # knows the holders: the query
-                                    # times out.
-                                    messages = 1
-                                    holders = _NO_HOLDERS
-                                elif partition_of and (
-                                    partition_of.get(c)
-                                    != partition_of.get(beacon)
-                                ):
-                                    query = (
-                                        lookup_ms + partition_timeout_ms
-                                    )
-                                    messages = 1
-                                    holders = _NO_HOLDERS
-                        if holders:
-                            best = holders[0]
-                            best_rtt = rtt_c[best]
-                            for k in range(1, len(holders)):
-                                candidate = holders[k]
-                                candidate_rtt = rtt_c[candidate]
-                                if candidate_rtt < best_rtt:
-                                    best_rtt = candidate_rtt
-                                    best = candidate
-                            hit = True
-                            holder = best
-                    else:
-                        # Clean path: every group member is reachable,
-                        # so the first-min scan runs straight over the
-                        # holder set — same strict-less order as the
-                        # protocol's filtered list, no allocation.
-                        if directory_mode:
-                            query = lookup_ms
-                            messages = 2
-                        else:
-                            members = members_by[c]
-                            beacon = members[
-                                (d * 2654435761) % len(members)
-                            ]
-                            if beacon == c:
-                                query = lookup_ms + 0.0
-                                messages = 0
-                            else:
-                                query = lookup_ms + rtt_c[beacon]
-                                messages = 2
-                        by_group = holders_map.get(d)
-                        if by_group is not None:
-                            held = by_group.get(group_by[c])
-                            if held is not None:
-                                best = -1
-                                best_rtt = inf
-                                for h in held:
-                                    if h != c:
-                                        candidate_rtt = rtt_c[h]
-                                        if candidate_rtt < best_rtt:
-                                            best_rtt = candidate_rtt
-                                            best = h
-                                if best >= 0:
-                                    hit = True
-                                    holder = best
+                        admitted = True
                 else:
-                    # Multicast (and any future mode): the full method.
-                    result = proto_lookup(c, d)
-                    query = result.query_ms
-                    messages = result.messages
-                    if result.holder is not None:
-                        hit = True
-                        holder = result.holder
+                    admitted = caches[c].admit(
+                        d, size, fetch_cost, ts, fetched_version
+                    )
+                if admitted:
+                    by_group = holders_map.get(d)
+                    if by_group is None:
+                        holders_map[d] = by_group = {}
+                    held = by_group.get(group_by[c])
+                    if held is None:
+                        by_group[group_by[c]] = held = set()
+                    held.add(c)
 
-                if hit and ttl_mode:
-                    # A holder found by the directory may itself have
-                    # expired under TTL; re-check before fetching from it.
-                    docs_h = docs_by[holder]
-                    held_record = docs_h.get(d)
-                    if held_record is not None and (
-                        ts - held_record[1] > ttl_ms
-                    ):
-                        if util_mode:
-                            used[holder] -= held_record[0]
-                            del docs_h[d]
-                            del acc_by[holder][d]
-                            del psz_by[holder][d]
-                            del pfc_by[holder][d]
-                            del pver_by[holder][d]
-                            by_group = holders_map.get(d)
-                            if by_group:
-                                held = by_group.get(group_by[holder])
-                                if held is not None:
-                                    held.discard(holder)
-                                    if not held:
-                                        del by_group[group_by[holder]]
-                                if not by_group:
-                                    del holders_map[d]
-                        else:
-                            caches[holder].expire(d)
-                    if d not in docs_h:
-                        hit = False
-                        holder = None
-
+            stale = fetched_version < origin_version[d]
+            if counted:
+                fold(c, total)
+                if messages:
+                    m_queries[c] += messages
+                if stale:
+                    m_stale[c] += 1
                 if hit:
-                    fetch = rtt_c[holder]
-                    transfer = size / bandwidth
-                    total = local_ms + query + fetch + transfer
-                    fetched_version = docs_by[holder][d][2]
-                    path_value = "group_hit"
+                    m_group[c] += 1
+                    m_peer_bytes[c] += size
                 else:
-                    if partition_of and (
-                        partition_of.get(c) != partition_of.get(origin_node)
-                    ):
-                        query = query + partition_timeout_ms
-                        m_ptimeout[c] += 1
-                    if queueing:
-                        record_arrival(ts)
-                        fetch = (
-                            rtt0_by[c]
-                            + origin_processing * inflation_factor(ts)
-                        )
-                    else:
-                        fetch = fetch0_by[c]
-                    transfer = size / bandwidth
-                    total = local_ms + query + fetch + transfer
-                    fetched_version = origin_version[d]
-                    path_value = "origin_fetch"
-
-                # ---- placement ----
-                if cooperative and hit and (
-                    rtt_c[holder] <= placement_threshold
-                ):
-                    m_skips[c] += 1
+                    m_origin[c] += 1
+                    m_origin_bytes[c] += size
+            if sampler is not None:
+                if hit:
+                    window_group += 1
                 else:
-                    fetch_cost = fetch + transfer
-                    if util_mode:
-                        admitted = False
-                        cap_c = cap_by[c]
-                        if size <= cap_c:
-                            acc_c = acc_by[c]
-                            psz_c = psz_by[c]
-                            pfc_c = pfc_by[c]
-                            pver_c = pver_by[c]
-                            heap_c = heap_by[c]
-                            group_c = group_by[c]
-                            if used[c] + size > cap_c:
-                                # Eviction will read the heap: flush
-                                # the deferred entries first.
-                                pend_c = pend_by[c]
-                                if pend_c:
-                                    for entry in pend_c:
-                                        heappush(heap_c, entry)
-                                    del pend_c[:]
-                            while used[c] + size > cap_c:
-                                # Lazy-heap victim selection: pop stale
-                                # entries, evict the live minimum.
-                                while True:
-                                    top = heap_c[0]
-                                    victim = top[2]
-                                    if pver_c.get(victim) == top[1]:
-                                        break
-                                    heappop(heap_c)
-                                victim_record = docs_c.pop(victim)
-                                used[c] -= victim_record[0]
-                                del acc_c[victim]
-                                del psz_c[victim]
-                                del pfc_c[victim]
-                                del pver_c[victim]
-                                by_group = holders_map.get(victim)
-                                if by_group:
-                                    held = by_group.get(group_c)
-                                    if held is not None:
-                                        held.discard(c)
-                                        if not held:
-                                            del by_group[group_c]
-                                    if not by_group:
-                                        del holders_map[victim]
-                            docs_c[d] = [size, ts, fetched_version]
-                            used[c] += size
-                            acc_c[d] = 1
-                            psz_c[d] = size
-                            # Re-fetch cost is at least a token cost even
-                            # for free fetches (policy on_insert rule).
-                            cost = (
-                                fetch_cost if fetch_cost > 0.01 else 0.01
-                            )
-                            pfc_c[d] = cost
-                            invalidations = pinv_by[c].setdefault(d, 0)
-                            version = pver_c.get(d, 0) + 1
-                            pver_c[d] = version
-                            pend_by[c].append((
-                                1 * cost / (size * (1.0 + invalidations)),
-                                version,
-                                d,
-                            ))
-                            admitted = True
-                    else:
-                        admitted = caches[c].admit(
-                            d, size, fetch_cost, ts, fetched_version
-                        )
-                    if admitted:
-                        by_group = holders_map.get(d)
-                        if by_group is None:
-                            holders_map[d] = by_group = {}
-                        held = by_group.get(group_by[c])
-                        if held is None:
-                            by_group[group_by[c]] = held = set()
-                        held.add(c)
+                    window_origin += 1
+                window_totals.append(total)
+            if trace is not None:
+                trace_buf.append(TraceRecord(
+                    KIND_REQUEST, ts, c, d,
+                    "group_hit" if hit else "origin_fetch", total, query,
+                    fetch, transfer, messages, size, counted, stale,
+                ))
 
-                stale = fetched_version < origin_version[d]
-                if counted:
-                    slot = lat_by[c]
-                    n = slot[0] + 1
-                    slot[0] = n
-                    delta = total - slot[1]
-                    mean = slot[1] + delta / n
-                    slot[1] = mean
-                    slot[2] += delta * (total - mean)
-                    if total < slot[3]:
-                        slot[3] = total
-                    if total > slot[4]:
-                        slot[4] = total
-                    bin_index = int(total / hist_width)
-                    if bin_index >= overflow_bin:
-                        bin_index = overflow_bin
-                    bins[bin_index] += 1
-                    hist_count += 1
-                    hist_sum += total
-                    if total < hist_min:
-                        hist_min = total
-                    if total > hist_max:
-                        hist_max = total
-                    if messages:
-                        m_queries[c] += messages
-                    if stale:
-                        m_stale[c] += 1
-                    if hit:
-                        m_group[c] += 1
-                        m_peer_bytes[c] += size
-                    else:
-                        m_origin[c] += 1
-                        m_origin_bytes[c] += size
-                if sampler is not None:
-                    if hit:
-                        window_group += 1
-                    else:
-                        window_origin += 1
-                    window_totals.append(total)
-                if trace is not None:
-                    trace_buf.append((
-                        ts, c, d, path_value, total, query, fetch,
-                        transfer, messages, size, counted, stale,
-                    ))
-
-            lo = lo_next
-        i = hi
-        if barrier_index >= num_barriers:
-            break
-
-        # ---- barrier event: legacy handler on the shared state ----
-        barrier = barriers[barrier_index]
-        barrier_index += 1
-        barrier_ts = barrier.timestamp_ms
-        if next_tick <= barrier_ts:
-            if window_totals:
-                sampler.observe_batch(
-                    window_local, window_group, window_origin,
-                    window_totals,
-                )
-                window_local = window_group = window_origin = 0
-                window_totals = []
-            while next_tick <= barrier_ts:
-                sampler.flush(next_tick, **sample_gauges(next_tick))
-                next_tick = sampler.next_tick_ms
-        if trace is not None and trace_buf:
-            # The handler may append its own trace record; flush the
-            # buffered request rows first to keep JSONL order exact.
-            trace.record_many([
-                TraceRecord(
-                    kind=KIND_REQUEST, timestamp_ms=row[0],
-                    cache=row[1], doc_id=row[2], path=row[3],
-                    total_ms=row[4], query_ms=row[5], fetch_ms=row[6],
-                    transfer_ms=row[7], messages=row[8],
-                    size_bytes=row[9], counted=row[10], stale=row[11],
-                )
-                for row in trace_buf
-            ])
-            trace_buf = []
-        handlers[type(barrier)](barrier)
+        # ---- barrier dispatch: the engine's handler on shared state ----
+        if barrier is None:
+            continue
+        if next_tick <= barrier.timestamp_ms:
+            flush_samples(barrier.timestamp_ms)
+        # The handler may append its own trace record; flush the
+        # buffered request rows first to keep JSONL order exact.
+        flush_trace()
+        barrier_handlers[type(barrier)](barrier)
         if type(barrier) is OriginUpdateEvent:
             origin_version[barrier.doc_id] = origin_version_of(
                 barrier.doc_id
             )
 
     # -- postlude ----------------------------------------------------
-    if total_requests:
-        if num_barriers and positions[-1] == total_requests:
-            last_ts = barriers[-1].timestamp_ms
-        else:
-            last_ts = req_ts[-1]
-    elif num_barriers:  # pragma: no cover - workloads require requests
-        last_ts = barriers[-1].timestamp_ms
-    else:  # pragma: no cover - workloads require requests
-        last_ts = 0.0
-
-    if trace is not None and trace_buf:
-        trace.record_many([
-            TraceRecord(
-                kind=KIND_REQUEST, timestamp_ms=row[0], cache=row[1],
-                doc_id=row[2], path=row[3], total_ms=row[4],
-                query_ms=row[5], fetch_ms=row[6], transfer_ms=row[7],
-                messages=row[8], size_bytes=row[9], counted=row[10],
-                stale=row[11],
-            )
-            for row in trace_buf
-        ])
-        trace_buf = []
+    # The last event's timestamp: a barrier sorts after a request only
+    # at a strictly later time, so the later of the two last stamps.
+    last_ts = max(
+        req_ts[-1:] + [event.timestamp_ms for event in barriers[-1:]],
+        default=0.0,
+    )
+    flush_trace()
     if sampler is not None:
-        if window_totals:
-            sampler.observe_batch(
-                window_local, window_group, window_origin, window_totals
-            )
+        # Every tick up to last_ts is already flushed; this folds the
+        # open window only.
+        flush_samples(last_ts)
         sampler.finalize(last_ts, **sample_gauges(last_ts))
 
     if util_mode:
         # Leave the policies' heaps holding every entry (the deferred
-        # buffers are a loop-internal detail, not post-run state).
+        # buffers are a loop-internal detail, not post-run state).  One
+        # heapify per cache: only the entry multiset is observable.
         for node in nodes:
-            pend_node = pend_by[node]
-            if pend_node:
-                heap_node = heap_by[node]
-                for entry in pend_node:
-                    heappush(heap_node, entry)
-                del pend_node[:]
-
-    engine._processed_requests = total_requests
+            heap_node = heap_by[node]
+            heap_node.extend(pend_by[node])
+            heapify(heap_node)
 
     rows = {}
     for node in nodes:
@@ -793,9 +637,14 @@ def run_batched(engine: "SimulationEngine") -> int:
             m_stale[node], m_skips[node], m_down[node],
             m_ptimeout[node],
         )
+    # The histogram's count, minimum and maximum follow exactly from
+    # the bins and the per-cache slots; only the sum needs its own
+    # accumulator (float addition order).
+    hist_min = min((lat_by[node][3] for node in nodes), default=inf)
+    hist_max = max((lat_by[node][4] for node in nodes), default=-inf)
     metrics.absorb_batched(
         rows,
         min(warmup, total_requests),
-        (bins, hist_count, hist_sum, hist_min, hist_max),
+        (bins, sum(bins), hist_sum, hist_min, hist_max),
     )
-    return total_requests + num_barriers
+    return total_requests + len(barriers)

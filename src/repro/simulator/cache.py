@@ -7,8 +7,8 @@ admitted (served pass-through), which matches standard proxy behaviour.
 
 Storage lives in a :class:`repro.simulator.state.CacheStore` — a
 struct-of-records table shared by every cache of a run — and the
-``EdgeCache`` is a thin per-node view over it.  The legacy event loops
-drive caches through the methods below; the batched loop mutates the
+``EdgeCache`` is a thin per-node view over it.  The reference event loop
+drives caches through the methods below; the batched loop mutates the
 same store records directly (see :mod:`repro.simulator.batched`), so
 both worlds observe identical state through this one API.
 """

@@ -1,15 +1,18 @@
 """The discrete event simulation engine.
 
 Wires together the caches, origin server, group protocol, latency model
-and metrics, then processes the merged request/update event stream in
-timestamp order.  The engine itself is deliberately thin: each
-subsystem owns its state, the engine owns only the clock and the
-per-event control flow.
+and metrics, validates the request, update and fault streams once and
+lowers them to :class:`~repro.simulator.events.EventColumns`, then
+hands the columns to one of two event loops: the batched kernel
+(:mod:`repro.simulator.batched`, the default) or the heap reference
+oracle (:mod:`repro.simulator.reference`).  The rare barrier events
+(updates, failures, recoveries, partition edges) are handled here, by
+the same methods under both loops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -26,29 +29,29 @@ from repro.simulator.events import (
     CacheRecoverEvent,
     Event,
     EventColumns,
-    EventQueue,
     OriginUpdateEvent,
     PartitionEndEvent,
     PartitionStartEvent,
-    RequestEvent,
     columns_from_arrays,
 )
-from repro.simulator.group_proto import GroupProtocol, LookupOutcome
+from repro.simulator.group_proto import GroupProtocol
 from repro.simulator.latency import LatencyModel
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.origin import OriginServer
 from repro.simulator.origin_load import OriginLoadTracker
+from repro.simulator.reference import ReferenceLoop
 from repro.simulator.replacement import make_policy
 from repro.simulator.state import CacheStore
 from repro.topology.network import EdgeCacheNetwork
 from repro.types import NodeId
 from repro.workload.ibm_synthetic import Workload
 
-#: Event loop used when the caller passes ``event_loop=None``.  The
-#: batched loop (:mod:`repro.simulator.batched`) is bit-identical to
-#: ``"sorted"`` on every metric, trace, and figure — pinned by the
-#: loop-equivalence tests — so it is safe as the default; tests
-#: monkeypatch this constant to pit the loops against each other.
+#: Event loop used when the caller passes ``event_loop=None``: the
+#: batched kernel (:mod:`repro.simulator.batched`).  The only other loop
+#: is ``"heap"``, the reference oracle (:mod:`repro.simulator.
+#: reference`) it is held bit-identical to on every metric, trace and
+#: figure; tests monkeypatch this constant to pit the two against each
+#: other.
 DEFAULT_EVENT_LOOP = "batched"
 
 #: Cumulative events processed by every engine run in this process.
@@ -99,10 +102,10 @@ class SimulationEngine:
     ) -> None:
         if event_loop is None:
             event_loop = DEFAULT_EVENT_LOOP
-        if event_loop not in ("sorted", "heap", "batched"):
+        if event_loop not in ("batched", "heap"):
             raise SimulationError(
                 f"unknown event loop {event_loop!r} "
-                f"(expected 'sorted', 'heap', or 'batched')"
+                f"(expected 'batched' or 'heap')"
             )
         self._event_loop = event_loop
         self._config = config or SimulationConfig()
@@ -112,7 +115,6 @@ class SimulationEngine:
         self._instrumented = self._observer.active
         self._config.validate()
         self._network = network
-        self._workload = workload
 
         grouped = set(grouping.all_members)
         expected = set(network.cache_nodes)
@@ -129,7 +131,6 @@ class SimulationEngine:
         # Active partitions (node -> partition id), shared with the
         # protocol so cooperative lookups never cross a cut.
         self._partition_of: Dict[NodeId, int] = {}
-        self._fault_schedule = faults
         if faults is not None:
             faults.validate()
             self._partition_timeout_ms = faults.partition_timeout_ms
@@ -175,42 +176,20 @@ class SimulationEngine:
             for node in network.cache_nodes
         }
 
-        self._events = EventQueue()
-        self._columns: Optional[EventColumns] = None
-        self._columns_consumed = False
-        if event_loop == "batched":
-            # Columnar request stream: no RequestEvent objects at all.
-            # The membership check matches the legacy per-push check,
-            # reporting the first offender in workload order.
-            req_ts, req_cache, req_doc = workload.request_columns()
-            if req_cache.size:
-                member = np.isin(
-                    req_cache,
-                    np.fromiter(self._caches, dtype=np.int64),
-                )
-                if not member.all():
-                    bad = int(req_cache[int(np.argmax(~member))])
-                    raise SimulationError(
-                        f"request targets cache {bad} which is "
-                        f"not in the network"
-                    )
-        else:
-            for request in workload.requests:
-                if request.cache_node not in self._caches:
-                    raise SimulationError(
-                        f"request targets cache {request.cache_node} "
-                        f"which is not in the network"
-                    )
-                self._events.push(
-                    RequestEvent(
-                        timestamp_ms=request.timestamp_ms,
-                        cache_node=request.cache_node,
-                        doc_id=request.doc_id,
-                    )
-                )
-        # Barrier events, in legacy push order (updates, failures,
-        # faults) so the columns' stable timestamp sort reproduces the
-        # queue's insertion-sequence tie-break.
+        # Requests are validated once, on the columns both loops read;
+        # the first offender in workload order is reported.
+        req_ts, req_cache, req_doc = workload.request_columns()
+        member = np.isin(
+            req_cache, np.fromiter(self._caches, dtype=np.int64)
+        )
+        if not member.all():
+            bad = int(req_cache[int(np.argmax(~member))])
+            raise SimulationError(
+                f"request targets cache {bad} which is not in the network"
+            )
+        # Barrier events, in push order (updates, failures, faults):
+        # the columns' stable timestamp sort keeps that order among
+        # equal timestamps, which is the tie-break both loops use.
         barrier_events: List[Event] = []
         for update in workload.updates:
             barrier_events.append(
@@ -245,24 +224,17 @@ class SimulationEngine:
                         f"{fault_event.cache_node}"
                     )
                 barrier_events.append(fault_event)
-        if event_loop == "batched":
-            self._columns = columns_from_arrays(
-                req_ts, req_cache, req_doc, barrier_events
-            )
-        else:
-            for event in barrier_events:
-                self._events.push(event)
-
-        total_requests = len(workload.requests)
-        self._warmup_remaining = int(
-            self._config.warmup_fraction * total_requests
+        # Taken (set back to None) by the first run().
+        self._columns: Optional[EventColumns] = columns_from_arrays(
+            req_ts, req_cache, req_doc, barrier_events
         )
-        self._processed_requests = 0
 
-        # Exact-type handler table: the event union is closed, so a
-        # single dict lookup replaces the isinstance chain in run().
-        self._handlers = {
-            RequestEvent: self._handle_request,
+        self._warmup_remaining = int(
+            self._config.warmup_fraction * len(workload.requests)
+        )
+
+        # Exact-type table of the barrier handlers both loops dispatch.
+        self._barrier_handlers: Dict[type, Callable[..., None]] = {
             OriginUpdateEvent: self._handle_update,
             CacheFailEvent: self._handle_fail,
             CacheRecoverEvent: self._handle_recover,
@@ -295,24 +267,22 @@ class SimulationEngine:
     def run(self) -> SimulationMetrics:
         """Process every event; returns the collected metrics.
 
-        The default ``"batched"`` path (see :mod:`repro.simulator.
-        batched`) runs the columnar slice kernel — no event objects for
-        requests at all.  ``"sorted"`` pre-merges the request, update,
-        and failure streams into one timestamp-sorted array — valid
-        because every event is known up front and nothing is ever
-        scheduled into the future — and dispatches through the per-type
-        handler table.  ``"heap"`` keeps the classic per-event ``heapq``
-        pop.  All three orders are identical by construction
-        (regression-tested bit-for-bit); the legacy paths remain as the
-        measurement baseline and paranoia fallback.
+        ``"batched"`` (the default) runs the columnar slice kernel of
+        :mod:`repro.simulator.batched`; ``"heap"`` runs the per-event
+        reference loop of :mod:`repro.simulator.reference`.  The two are
+        bit-identical by contract (``tests/simulator/
+        test_batched_loop.py``).  A second ``run()`` processes nothing.
         """
         # Wall clock is profiling-only here: it feeds throughput
         # reporting, never event timestamps or simulated behaviour.
         started = perf_seconds()
-        if self._event_loop == "batched":
-            events_processed = run_batched(self)
+        columns, self._columns = self._columns, None
+        if columns is None:
+            events_processed = 0
+        elif self._event_loop == "batched":
+            events_processed = run_batched(self, columns)
         else:
-            events_processed = self._run_event_objects()
+            events_processed = ReferenceLoop(self).run(columns)
         global _EVENTS_TOTAL  # noqa: PLW0603 - merged counter, see absorb_events
         _EVENTS_TOTAL += events_processed
         if self._observer is not NULL_OBSERVER:
@@ -324,39 +294,6 @@ class SimulationEngine:
         if not self._metrics.conservation_holds():
             raise SimulationError("request conservation violated")
         return self._metrics
-
-    def _run_event_objects(self) -> int:
-        """The legacy per-event-object loops ("sorted" and "heap")."""
-        sampler = self._observer.sampler if self._instrumented else None
-        handlers = self._handlers
-        events_processed = 0
-        now = 0.0
-        if self._event_loop == "sorted":
-            pending = iter(self._events.drain_sorted())
-        else:
-            pending = self._heap_order()
-        for event in pending:
-            events_processed += 1
-            now = event.timestamp_ms
-            if sampler is not None:
-                # Flush every sample boundary that precedes this event,
-                # so sample times align with simulated (not host) time.
-                tick = sampler.next_due(now)
-                while tick is not None:
-                    sampler.flush(tick, **self._sample_gauges(tick))
-                    tick = sampler.next_due(now)
-            handler = handlers.get(type(event))
-            if handler is None:  # pragma: no cover - event union is closed
-                raise SimulationError(f"unknown event {event!r}")
-            handler(event)
-        if sampler is not None:
-            sampler.finalize(now, **self._sample_gauges(now))
-        return events_processed
-
-    def _heap_order(self):
-        """Yield events via per-event heap pops (the legacy loop body)."""
-        while self._events:
-            yield self._events.pop()
 
     def _sample_gauges(self, now_ms: float) -> Dict[str, float]:
         """Point-in-time gauges attached to each flushed sample."""
@@ -371,167 +308,12 @@ class SimulationEngine:
             "cache_occupancy": occupancy,
         }
 
-    # -- event handlers ---------------------------------------------------
-
-    def _handle_request(self, event: RequestEvent) -> None:
-        cache = self.cache(event.cache_node)
-        doc_id = event.doc_id
-        now = event.timestamp_ms
-        size = self._origin.size_of(doc_id)
-
-        counted = self._warmup_remaining <= self._processed_requests
-        self._processed_requests += 1
-
-        if cache.node in self._down:
-            # The edge cache is unreachable; the client falls through to
-            # the origin directly (no group help, nothing cached).
-            stats = self._metrics.cache_stats(cache.node)
-            stats.requests_while_down += 1
-            account = self._origin_account(
-                cache.node, size, query_ms=0.0, now_ms=now
-            )
-            self._metrics.record_request(
-                cache.node, account, messages=0, size_bytes=size,
-                counted=counted,
-            )
-            if self._instrumented:
-                self._observer.on_request(
-                    now, cache.node, doc_id, account, 0, size,
-                    counted, False,
-                )
-            return
-
-        self._expire_if_due(cache, doc_id, now)
-        if cache.holds(doc_id):
-            entry = cache.access(doc_id, now)
-            account = self._latency.local_hit()
-            stale = entry.version < self._origin.version_of(doc_id)
-            self._metrics.record_request(
-                cache.node, account, messages=0, size_bytes=0,
-                counted=counted, stale=stale,
-            )
-            if self._instrumented:
-                self._observer.on_request(
-                    now, cache.node, doc_id, account, 0, 0, counted, stale,
-                )
-            return
-
-        lookup = self._protocol.lookup(cache.node, doc_id)
-        if lookup.outcome is LookupOutcome.GROUP_HIT:
-            assert lookup.holder is not None
-            # A holder found by the directory may itself have expired
-            # under TTL consistency; re-check before fetching from it.
-            holder_cache = self.cache(lookup.holder)
-            self._expire_if_due(holder_cache, doc_id, now)
-            if not holder_cache.holds(doc_id):
-                lookup = self._degrade_to_miss(lookup)
-
-        if lookup.outcome is LookupOutcome.GROUP_HIT:
-            assert lookup.holder is not None
-            account = self._latency.group_hit(
-                cache.node, lookup.holder, size, query_ms=lookup.query_ms
-            )
-            fetched_version = self.cache(lookup.holder).entry(doc_id).version
-        else:
-            account = self._origin_account(
-                cache.node, size, query_ms=lookup.query_ms, now_ms=now
-            )
-            fetched_version = self._origin.version_of(doc_id)
-
-        fetch_cost = account.fetch_ms + account.transfer_ms
-        if self._skip_placement(cache.node, lookup):
-            self._metrics.cache_stats(cache.node).placement_skips += 1
-        else:
-            admitted = cache.admit(
-                doc_id,
-                size,
-                fetch_cost_ms=fetch_cost,
-                now_ms=now,
-                version=fetched_version,
-            )
-            if admitted:
-                self._protocol.record_copy(cache.node, doc_id)
-        stale = fetched_version < self._origin.version_of(doc_id)
-        self._metrics.record_request(
-            cache.node,
-            account,
-            messages=lookup.messages,
-            size_bytes=size,
-            counted=counted,
-            stale=stale,
-        )
-        if self._instrumented:
-            self._observer.on_request(
-                now, cache.node, doc_id, account, lookup.messages, size,
-                counted, stale,
-            )
-
-    def _origin_account(
-        self, cache_node: NodeId, size: int, query_ms: float, now_ms: float
-    ):
-        """Origin-fetch latency account, congestion-aware when enabled.
-
-        A cache partitioned away from the origin first waits out the
-        partition timeout before the fetch succeeds (modelling the
-        retry over a backup path once the primary times out).
-        """
-        if self._partition_of and not self._protocol.reachable(
-            cache_node, self._network.origin
-        ):
-            query_ms += self._partition_timeout_ms
-            self._metrics.cache_stats(cache_node).partition_timeouts += 1
-        processing = None
-        if self._origin_load is not None:
-            self._origin_load.record_arrival(now_ms)
-            processing = (
-                self._config.origin_processing_ms
-                * self._origin_load.inflation_factor(now_ms)
-            )
-        return self._latency.origin_fetch(
-            cache_node, size, query_ms=query_ms, processing_ms=processing
-        )
-
     @property
     def origin_load(self) -> Optional[OriginLoadTracker]:
         """The congestion tracker (None unless origin_queueing is on)."""
         return self._origin_load
 
-    def _skip_placement(self, cache_node: NodeId, lookup) -> bool:
-        """Cooperative placement: skip storing after a near-peer hit."""
-        cache_config = self._config.cache
-        if not cache_config.cooperative_placement:
-            return False
-        if lookup.outcome is not LookupOutcome.GROUP_HIT:
-            return False
-        assert lookup.holder is not None
-        return (
-            self._network.rtt(cache_node, lookup.holder)
-            <= cache_config.placement_rtt_threshold_ms
-        )
-
-    def _expire_if_due(self, cache: EdgeCache, doc_id, now_ms: float) -> None:
-        """Drop a TTL-expired copy before it can serve anything."""
-        if (
-            not self._config.consistency_enabled
-            or self._config.consistency_mode != "ttl"
-            or not cache.holds(doc_id)
-        ):
-            return
-        entry = cache.entry(doc_id)
-        if now_ms - entry.stored_at_ms > self._config.ttl_ms:
-            cache.expire(doc_id)
-
-    @staticmethod
-    def _degrade_to_miss(lookup):
-        """Re-shape a stale GROUP_HIT lookup into a GROUP_MISS."""
-        from repro.simulator.group_proto import LookupResult
-
-        return LookupResult(
-            outcome=LookupOutcome.GROUP_MISS,
-            holder=None,
-            query_ms=lookup.query_ms,
-            messages=lookup.messages,
-        )
+    # -- barrier handlers (shared by both loops) ---------------------------
 
     def _handle_fail(self, event: CacheFailEvent) -> None:
         """Crash a cache: contents lost, directory cleaned, node down."""

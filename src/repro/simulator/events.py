@@ -145,22 +145,6 @@ class EventQueue:
         self._last_popped_ms = timestamp
         return event
 
-    def drain_sorted(self) -> List[Event]:
-        """Remove and return *all* events in pop order, in one shot.
-
-        The engine knows every event up front and never schedules into
-        the future, so the per-event heap discipline is pure overhead:
-        one ``sort`` over the ``(timestamp, priority, sequence)`` keys
-        yields exactly the sequence ``pop`` would produce.  Afterwards
-        the queue is empty and ``now_ms`` reports the final timestamp,
-        the same state a pop-until-empty loop leaves behind.
-        """
-        ordered = sorted(self._heap)
-        self._heap.clear()
-        if ordered:
-            self._last_popped_ms = ordered[-1][0]
-        return [entry[3] for entry in ordered]
-
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next event, or None when empty."""
         if not self._heap:
@@ -213,28 +197,6 @@ class EventColumns:
     @property
     def num_events(self) -> int:
         return self.num_requests + len(self.barriers)
-
-
-def build_event_columns(
-    requests: Sequence[Any],
-    barrier_events: Sequence[Event],
-) -> EventColumns:
-    """Lower request records plus barrier events to :class:`EventColumns`.
-
-    ``requests`` is the workload's request log (records with
-    ``timestamp_ms``/``cache_node``/``doc_id``, already validated
-    non-negative); ``barrier_events`` must be given in the same order
-    the legacy loop would have pushed them, so the stable timestamp
-    sort reproduces the queue's insertion-sequence tie-break.
-    """
-    req_ts = np.asarray(
-        [r.timestamp_ms for r in requests], dtype=np.float64
-    )
-    req_cache = np.asarray(
-        [r.cache_node for r in requests], dtype=np.int64
-    )
-    req_doc = np.asarray([r.doc_id for r in requests], dtype=np.int64)
-    return columns_from_arrays(req_ts, req_cache, req_doc, barrier_events)
 
 
 def columns_from_arrays(

@@ -65,18 +65,6 @@ class ReplacementPolicy(abc.ABC):
         default is a no-op.
         """
 
-    @abc.abstractmethod
-    def hot_state(self) -> Dict[str, object]:
-        """The policy's mutable internals, for inline (batched) driving.
-
-        The batched event loop replicates ``on_insert``/``on_access``/
-        ``on_remove``/``select_victim`` as inline operations on these
-        very structures, so a policy object stays consistent whether it
-        was driven through methods or through the kernel — the
-        loop-equivalence tests pin that the resulting evictions are
-        bit-identical.  Keys are policy-specific (see each subclass).
-        """
-
 
 class LRUPolicy(ReplacementPolicy):
     """Evict the least recently used document."""
@@ -113,10 +101,6 @@ class LRUPolicy(ReplacementPolicy):
     def _require(self, doc_id: DocumentId) -> None:
         if doc_id not in self._order:
             raise SimulationError(f"doc {doc_id} not tracked by LRU policy")
-
-    def hot_state(self) -> Dict[str, object]:
-        """``{"order"}`` — the recency-ordered ``OrderedDict``."""
-        return {"order": self._order}
 
 
 class _HeapScorePolicy(ReplacementPolicy):
@@ -192,14 +176,6 @@ class LFUPolicy(_HeapScorePolicy):
         del self._counts[doc_id]
         self._untrack(doc_id)
 
-    def hot_state(self) -> Dict[str, object]:
-        """``{"counts", "version", "heap"}`` — see ``_HeapScorePolicy``."""
-        return {
-            "counts": self._counts,
-            "version": self._version,
-            "heap": self._heap,
-        }
-
 
 class UtilityPolicy(_HeapScorePolicy):
     """Cache Clouds-style utility-based replacement."""
@@ -264,8 +240,18 @@ class UtilityPolicy(_HeapScorePolicy):
         self._untrack(doc_id)
 
     def hot_state(self) -> Dict[str, object]:
-        """``{"access", "size", "fetch_cost", "invalidations", "version",
-        "heap"}`` — the utility inputs plus the lazy heap."""
+        """The policy's mutable internals, for inline (batched) driving.
+
+        ``{"access", "size", "fetch_cost", "invalidations", "version",
+        "heap"}`` — the utility inputs plus the lazy heap.  Under this
+        policy the batched event loop replays ``on_insert``/
+        ``on_access``/``on_remove``/``select_victim`` as inline
+        operations on these very structures, so the policy object stays
+        consistent whether it was driven through methods or through the
+        kernel; the loop-equivalence tests pin that the resulting
+        evictions are bit-identical.  LRU and LFU runs are driven
+        through their methods and expose no such state.
+        """
         return {
             "access": self._access,
             "size": self._size,

@@ -101,8 +101,9 @@ def simulate(
 
     ``event_loop=None`` resolves to
     :data:`repro.simulator.engine.DEFAULT_EVENT_LOOP` (the batched
-    columnar loop); pass ``"sorted"`` or ``"heap"`` for the legacy
-    per-event-object loops.
+    columnar loop); pass ``"heap"`` for the per-event reference loop
+    (:mod:`repro.simulator.reference`), which the batched loop matches
+    bit for bit.  Any other name raises :class:`SimulationError`.
 
     >>> from repro.topology import build_network
     >>> from repro.core.groups import singleton_groups

@@ -7,7 +7,7 @@ shared by the whole run, which is what lets the batched event loop
 (:mod:`repro.simulator.batched`) mutate cache state directly — no
 per-document objects, no per-operation method dispatch — while
 :class:`repro.simulator.cache.EdgeCache` stays alive as a thin
-per-node *view* over the same records for the legacy loops and for
+per-node *view* over the same records for the reference loop and for
 test/analysis inspection.
 
 Records are plain lists (not dataclasses) because the batched kernel

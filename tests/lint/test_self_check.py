@@ -135,7 +135,7 @@ def test_effects_dump_over_src_is_deterministic(monkeypatch, capsys):
     tasks = {t["function"] for t in payload["entry_points"]["tasks"]}
     assert "repro.experiments.fig6_num_landmarks:_fig6_unit" in tasks
     handlers = payload["entry_points"]["event_handlers"]
-    assert "repro.simulator.engine:SimulationEngine._handle_request" in (
+    assert "repro.simulator.reference:ReferenceLoop._handle_request" in (
         handlers
     )
     globals_by_key = {g["global"]: g for g in payload["globals"]}

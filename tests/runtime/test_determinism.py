@@ -117,7 +117,7 @@ def get_stats():
 
 
 class TestEngineFastPath:
-    def test_sorted_loop_matches_heap_loop(self):
+    def test_batched_loop_matches_heap_loop(self):
         from repro.core.groups import single_group
         from repro.simulator.runner import simulate
 
@@ -125,7 +125,7 @@ class TestEngineFastPath:
         grouping = single_group(testbed.network.cache_nodes)
         fast = simulate(
             testbed.network, grouping, testbed.workload,
-            event_loop="sorted",
+            event_loop="batched",
         )
         slow = simulate(
             testbed.network, grouping, testbed.workload,

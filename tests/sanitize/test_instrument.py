@@ -105,7 +105,7 @@ class TestLedgerContents:
                 for t in times:
                     queue.push(RequestEvent(timestamp_ms=t, cache_node=0,
                                             doc_id=1))
-                drained = queue.drain_sorted()
+                drained = [queue.pop() for _ in times]
             assert len(drained) == len(times)
             return state.ledger
 
@@ -117,13 +117,11 @@ class TestLedgerContents:
 
 class TestLifecycle:
     def test_patches_are_restored_on_exit(self):
-        before = (RngFactory.stream, RngFactory.fork, EventQueue.pop,
-                  EventQueue.drain_sorted)
+        before = (RngFactory.stream, RngFactory.fork, EventQueue.pop)
         with sanitize():
             assert RngFactory.stream is not before[0]
             assert task_ledger() is not None
-        after = (RngFactory.stream, RngFactory.fork, EventQueue.pop,
-                 EventQueue.drain_sorted)
+        after = (RngFactory.stream, RngFactory.fork, EventQueue.pop)
         assert before == after
         assert task_ledger() is None
 

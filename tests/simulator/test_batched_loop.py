@@ -1,9 +1,10 @@
-"""Bit-identity of the ``"batched"`` event loop against the legacy loops.
+"""Bit-identity of the ``"batched"`` event loop against the reference.
 
 The batched columnar loop (:mod:`repro.simulator.batched`) is a pure
 performance rewrite: every metric, trace record, sample, archived
-figure byte, and sanitize-ledger digest must equal the ``"sorted"``
-loop's exactly — not approximately.  These tests pin that contract
+figure byte, and sanitize-ledger digest must equal the ``"heap"``
+reference loop's (:mod:`repro.simulator.reference`) exactly — not
+approximately.  These tests pin that contract
 across replacement policies, protocol modes, consistency modes,
 failures, and partitions, and through the figure/ sanitize layers that
 consume the engine.
@@ -27,7 +28,7 @@ from repro.simulator import CacheFailEvent, CacheRecoverEvent, simulate
 from repro.topology import build_network
 from repro.workload import generate_workload
 
-LOOPS = ("sorted", "heap", "batched")
+LOOPS = ("heap", "batched")
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ class TestMetricsEquivalence:
             )
             for loop in LOOPS
         }
-        assert prints["batched"] == prints["sorted"] == prints["heap"]
+        assert prints["batched"] == prints["heap"]
 
     @pytest.mark.parametrize("config", ALL_CONFIGS)
     def test_with_failures_and_partitions(self, testbed, config):
@@ -158,7 +159,7 @@ class TestMetricsEquivalence:
             )
             for loop in LOOPS
         }
-        assert prints["batched"] == prints["sorted"] == prints["heap"]
+        assert prints["batched"] == prints["heap"]
 
     @pytest.mark.parametrize(
         "mode", ["beacon", "directory", "multicast"]
@@ -172,9 +173,32 @@ class TestMetricsEquivalence:
                     group_protocol_mode=mode, event_loop=loop,
                 )
             )
-            for loop in ("sorted", "batched")
+            for loop in LOOPS
         }
-        assert prints["batched"] == prints["sorted"]
+        assert prints["batched"] == prints["heap"]
+
+    @pytest.mark.parametrize(
+        "mode", ["beacon", "directory", "multicast"]
+    )
+    def test_protocol_modes_with_failures_and_partitions(
+        self, testbed, mode
+    ):
+        # Down and cut-off beacons and holders take the kernel's
+        # degraded lookup in every mode.
+        network, workload, grouping = testbed
+        failures, faults = faults_for(network, workload)
+        prints = {
+            loop: fingerprint(
+                simulate(
+                    network, grouping, workload,
+                    SimulationConfig(consistency_mode="ttl", ttl_ms=800.0),
+                    group_protocol_mode=mode, failures=failures,
+                    faults=faults, event_loop=loop,
+                )
+            )
+            for loop in LOOPS
+        }
+        assert prints["batched"] == prints["heap"]
 
     def test_batched_is_the_default(self, testbed):
         from repro.simulator.engine import DEFAULT_EVENT_LOOP
@@ -191,10 +215,27 @@ class TestMetricsEquivalence:
         from repro.errors import SimulationError
 
         network, workload, grouping = testbed
-        with pytest.raises(SimulationError, match="unknown event loop"):
-            simulate(
-                network, grouping, workload, event_loop="vectorised"
-            )
+        # "sorted" must be rejected, not aliased to another loop.
+        for name in ("vectorised", "sorted"):
+            with pytest.raises(
+                SimulationError, match="unknown event loop"
+            ):
+                simulate(network, grouping, workload, event_loop=name)
+
+
+class TestSlicePlan:
+    def test_slices_cover_requests_in_order(self):
+        from repro.simulator.batched import _plan_slices
+
+        barriers = ("b0", "b1", "b2")
+        slices = list(_plan_slices([2, 2, 7], barriers, 9, warmup=4))
+        assert slices == [
+            (0, 2, False, "b0"),
+            (2, 2, False, "b1"),
+            (2, 4, False, None),
+            (4, 7, True, "b2"),
+            (7, 9, True, None),
+        ]
 
 
 class TestInstrumentedEquivalence:
@@ -219,22 +260,22 @@ class TestInstrumentedEquivalence:
         self, testbed, tmp_path, capacity
     ):
         paths = {}
-        for loop in ("sorted", "batched"):
+        for loop in LOOPS:
             _, trace = self.run(testbed, loop, capacity=capacity)
             paths[loop] = tmp_path / f"{loop}-{capacity}.jsonl"
             trace.write_jsonl(paths[loop])
         assert (
-            paths["sorted"].read_bytes() == paths["batched"].read_bytes()
+            paths["heap"].read_bytes() == paths["batched"].read_bytes()
         )
 
     def test_sampled_series_is_identical(self, testbed):
         series = {}
-        for loop in ("sorted", "batched"):
+        for loop in LOOPS:
             result, _ = self.run(testbed, loop)
             series[loop] = json.dumps(
                 result.timeseries().to_dict(), sort_keys=True
             )
-        assert series["sorted"] == series["batched"]
+        assert series["heap"] == series["batched"]
 
 
 class TestFigureArchive:
@@ -256,9 +297,9 @@ class TestFigureArchive:
     def test_fig3_archive_bytes_match(self, tmp_path, monkeypatch):
         archives = {
             loop: self.archive(tmp_path, monkeypatch, loop)
-            for loop in ("sorted", "batched")
+            for loop in LOOPS
         }
-        assert archives["sorted"] == archives["batched"]
+        assert archives["heap"] == archives["batched"]
 
 
 class TestSanitizeLedger:
@@ -274,12 +315,10 @@ class TestSanitizeLedger:
         ledgers = {
             loop: self.ledger_for(testbed, loop) for loop in LOOPS
         }
-        for loop in ("heap", "batched"):
-            result = diff_ledgers(ledgers["sorted"], ledgers[loop])
-            assert result.clean, "\n".join(
-                divergence.describe()
-                for divergence in result.divergences
-            )
+        result = diff_ledgers(ledgers["heap"], ledgers["batched"])
+        assert result.clean, "\n".join(
+            divergence.describe() for divergence in result.divergences
+        )
 
     def test_fig3_serial_vs_jobs2_zero_divergence(self):
         from repro.experiments import run_fig3

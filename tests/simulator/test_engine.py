@@ -247,11 +247,35 @@ class TestValidation:
     def test_request_for_unknown_cache_rejected(
         self, tiny_network, tiny_catalog
     ):
-        w = workload_of(tiny_catalog, [RequestRecord(0.0, 9, 0)])
-        with pytest.raises(SimulationError):
-            SimulationEngine(
-                tiny_network, pair_grouping(), w, config=sim_config()
-            )
+        w = workload_of(
+            tiny_catalog,
+            [RequestRecord(0.0, 1, 0), RequestRecord(1.0, 9, 0)],
+        )
+        for loop in ("batched", "heap"):
+            with pytest.raises(SimulationError, match="cache 9"):
+                SimulationEngine(
+                    tiny_network, pair_grouping(), w, config=sim_config(),
+                    event_loop=loop,
+                )
+
+    @pytest.mark.parametrize("loop", ["batched", "heap"])
+    def test_second_run_processes_nothing(
+        self, tiny_network, tiny_catalog, loop
+    ):
+        from repro.simulator.engine import events_total
+
+        w = workload_of(
+            tiny_catalog,
+            [RequestRecord(0.0, 1, 0), RequestRecord(1.0, 2, 0)],
+        )
+        engine = SimulationEngine(
+            tiny_network, pair_grouping(), w, config=sim_config(),
+            event_loop=loop,
+        )
+        first = engine.run().total_requests()
+        before = events_total()
+        assert engine.run().total_requests() == first == 2
+        assert events_total() == before
 
     def test_directory_tracks_evictions(self, tiny_network):
         """Evicted copies disappear from the group directory."""

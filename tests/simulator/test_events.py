@@ -94,33 +94,3 @@ class TestNowMs:
         q.push(RequestEvent(7.0, 1, 0))
         q.pop()
         assert q.now_ms == 7.0
-
-
-class TestDrainSorted:
-    def test_matches_pop_order(self):
-        events = [
-            RequestEvent(5.0, 1, 0),
-            OriginUpdateEvent(2.0, 0),
-            RequestEvent(2.0, 2, 0),
-            RequestEvent(2.0, 3, 0),
-        ]
-        by_pop = EventQueue()
-        by_drain = EventQueue()
-        for event in events:
-            by_pop.push(event)
-            by_drain.push(event)
-        popped = [by_pop.pop() for _ in range(len(events))]
-        assert by_drain.drain_sorted() == popped
-
-    def test_empties_queue_and_advances_clock(self):
-        q = EventQueue()
-        q.push(RequestEvent(9.0, 1, 0))
-        q.push(RequestEvent(3.0, 1, 0))
-        q.drain_sorted()
-        assert len(q) == 0
-        assert q.now_ms == 9.0
-
-    def test_empty_drain(self):
-        q = EventQueue()
-        assert q.drain_sorted() == []
-        assert q.now_ms == 0.0
