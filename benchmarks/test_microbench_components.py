@@ -164,100 +164,3 @@ def test_simulator_throughput_instrumented(benchmark, network100):
     assert len(result.trace) > 0
     assert len(result.timeseries()) > 0
 
-
-# -- BENCH_engine.json trajectory artifact --------------------------------
-#
-# Emitted for CI upload: one JSON file recording engine throughput
-# (plain, instrumented, and the legacy heap loop) and suite wall-clock
-# at jobs=1 vs jobs=2, each compared against the committed seed baseline
-# in ``benchmarks/baselines/BENCH_engine_seed.json`` so the speedup
-# trajectory is tracked across PRs rather than across one noisy run.
-# The measurement itself rides on ``repro.bench`` (the same subsystem
-# behind ``repro bench run|gate``); the artifact embeds the native
-# result under ``bench``, so ``repro bench compare BENCH_engine.json …``
-# reads it directly.
-
-import json
-from pathlib import Path
-
-_BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_engine_seed.json"
-_ARTIFACT_PATH = Path("BENCH_engine.json")
-
-
-def test_emit_bench_engine_artifact():
-    """Measure engine + suite throughput and write BENCH_engine.json."""
-    from repro.bench import DEFAULT_SCENARIO, LARGE_SCENARIO, run_bench
-
-    baseline = json.loads(_BASELINE_PATH.read_text())
-
-    result = run_bench(
-        scenario=DEFAULT_SCENARIO, label="trajectory",
-        include_suite=True, suite_jobs=(1, 2),
-        extra_scenarios={"large": LARGE_SCENARIO},
-    )
-    engine = result.engine
-    serial = result.suite["jobs1"]
-    parallel = result.suite["jobs2"]
-
-    artifact = {
-        "baseline": baseline,
-        "bench": result.to_dict(),
-        "engine": {
-            "events": int(engine["events"]),
-            "plain_events_per_sec": engine["plain_events_per_sec"],
-            "instrumented_events_per_sec": (
-                engine["instrumented_events_per_sec"]
-            ),
-            "heap_loop_events_per_sec": engine["heap_events_per_sec"],
-        },
-        "engine_1m": {
-            "events": int(
-                result.scenarios["large"]["engine"]["events"]
-            ),
-            "plain_events_per_sec": (
-                result.scenarios["large"]["engine"]["plain_events_per_sec"]
-            ),
-        },
-        "suite": {
-            "wall_s_jobs1": serial["wall_s"],
-            "wall_s_jobs2": parallel["wall_s"],
-            "events_per_sec_per_core_jobs1": (
-                serial["events_per_sec_per_core"]
-            ),
-            "events_per_sec_per_core_jobs2": (
-                parallel["events_per_sec_per_core"]
-            ),
-            "cache_stats_jobs1": {
-                "testbed_cache_hits": int(serial["testbed_cache_hits"]),
-                "testbed_cache_misses": int(serial["testbed_cache_misses"]),
-            },
-            "cache_stats_jobs2": {
-                "testbed_cache_hits": int(parallel["testbed_cache_hits"]),
-                "testbed_cache_misses": int(parallel["testbed_cache_misses"]),
-            },
-        },
-        "improvement_vs_seed": {
-            "suite_wall": baseline["suite_wall_s"] / serial["wall_s"],
-            "engine_plain": (
-                engine["plain_events_per_sec"]
-                / baseline["engine"]["plain_events_per_sec"]
-            ),
-            "engine_instrumented": (
-                engine["instrumented_events_per_sec"]
-                / baseline["engine"]["instrumented_events_per_sec"]
-            ),
-        },
-    }
-    _ARTIFACT_PATH.write_text(json.dumps(artifact, indent=2) + "\n")
-
-    assert int(engine["events"]) == baseline["engine"]["events"], (
-        "event count drifted from the baseline workload; "
-        "re-baseline before comparing throughput"
-    )
-    # The runtime layer's headline claim: the serial suite runs at
-    # least 1.5x faster than the seed tree on comparable hardware.
-    assert artifact["improvement_vs_seed"]["suite_wall"] >= 1.5
-    # Worker telemetry attributed engine events to suite tasks, and the
-    # testbed cache did real work at both jobs levels.
-    assert serial["events"] > 0
-    assert serial["testbed_cache_hits"] > 0

@@ -35,12 +35,6 @@ the first non-deterministic site (see :mod:`repro.sanitize`)::
     repro runs list --registry runs/
     repro runs compare -2 -1 --registry runs/
 
-``repro bench`` measures and gates throughput against committed
-baselines (see :mod:`repro.bench` and docs/performance.md)::
-
-    repro bench run --out BENCH_engine.json
-    repro bench gate --baseline benchmarks/baselines/BENCH_engine_main.json
-
 ``repro chaos`` proves the supervised runtime survives worker failure:
 deterministic kills/delays at content-derived task indices must leave
 the archived results byte-identical to a clean run (see
@@ -68,7 +62,6 @@ from repro.analysis.export import (
     export_cache_stats,
     export_experiment_result,
 )
-from repro.bench.cli import configure_parser as configure_bench_parser
 from repro.config import LandmarkConfig, WorkloadConfig, DocumentConfig
 from repro.core.schemes import scheme_by_name
 from repro.errors import ReproError
@@ -293,13 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(repro.obs.registry)",
     )
     configure_runs_parser(runs)
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure and gate throughput against committed baselines "
-             "(repro.bench)",
-    )
-    configure_bench_parser(bench)
 
     cmp_parser = sub.add_parser(
         "compare", help="diff two archived experiment results (JSON)"
@@ -872,12 +858,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     return run_runs(args)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.cli import run_bench_cli
-
-    return run_bench_cli(args)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis import compare_results
     from repro.persist import load_result
@@ -899,7 +879,6 @@ _COMMANDS = {
     "sanitize": _cmd_sanitize,
     "chaos": _cmd_chaos,
     "runs": _cmd_runs,
-    "bench": _cmd_bench,
     "compare": _cmd_compare,
 }
 

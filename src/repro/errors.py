@@ -119,8 +119,3 @@ class JournalError(ReproError):
 class RegistryError(ReproError):
     """The run registry is missing, corrupt, or a run reference did not
     resolve (see :mod:`repro.obs.registry`)."""
-
-
-class BenchmarkError(ReproError):
-    """A benchmark result could not be read, or two results are not
-    comparable (see :mod:`repro.bench`)."""

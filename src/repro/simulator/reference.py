@@ -15,7 +15,7 @@ The loop is slow by design.  It is kept as the oracle the batched
 kernel (:mod:`repro.simulator.batched`) must match bit for bit —
 metrics, trace records, samples, archived figures and sanitize ledgers
 (``tests/simulator/test_batched_loop.py``) — and as the reference run
-of ``repro bench`` and the benchmark's post-window check.
+of the benchmark's post-window check (``perfbench/``).
 """
 
 from __future__ import annotations

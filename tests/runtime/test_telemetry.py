@@ -279,9 +279,7 @@ def small(**kwargs):
 
 REGISTRY["fig6"] = small
 run_suite(figures=["fig6"], repetitions=1, seed=5, jobs=2)
-for forbidden in (
-    "repro.runtime.telemetry", "repro.obs.registry", "repro.bench",
-):
+for forbidden in ("repro.runtime.telemetry", "repro.obs.registry"):
     assert forbidden not in sys.modules, f"hot path imported {forbidden}"
 print("clean")
 """
