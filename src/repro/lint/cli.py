@@ -34,13 +34,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, cast
+from typing import Callable, Dict, List, Optional, TextIO, Tuple, cast
 
 from repro.lint.baseline import Baseline
 from repro.lint.checkers import rule_catalog
-from repro.lint.project import project_rule_catalog
+from repro.lint.effects import analyze, effect_findings, effect_report
+from repro.lint.project import ProjectModel, project_rule_catalog
 from repro.lint.reporters import render_json, render_text
-from repro.lint.runner import lint_paths
+from repro.lint.runner import lint_paths, load_sources
+from repro.lint.units import analyze_units, unit_findings, unit_report
 
 #: Baseline picked up automatically when present in the working tree.
 DEFAULT_BASELINE = "lint_baseline.json"
@@ -71,11 +73,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="rewrite the baseline to the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--no-project", action="store_true",
-        help="skip the cross-module call-graph passes "
-             "(transitive-wallclock/-rng, stream-label-collision)",
     )
     parser.add_argument(
         "--verbose", action="store_true",
@@ -133,9 +130,7 @@ def run_lint(
 
     paths: List[Path] = [Path(p) for p in args.paths]
     try:
-        report = lint_paths(
-            paths, baseline=baseline, project=not args.no_project
-        )
+        report = lint_paths(paths, baseline=baseline)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -163,116 +158,76 @@ def run_lint(
     return 0 if report.clean else 1
 
 
+def _dump_table(
+    args: argparse.Namespace,
+    out: TextIO,
+    err: TextIO,
+    payload_of: Callable[[ProjectModel], Dict[str, object]],
+    render_text: Callable[[Dict[str, object], TextIO, bool], None],
+) -> int:
+    """Shared body of ``lint effects`` and ``lint units``: load the
+    paths after the mode word, build the model, print its table."""
+    try:
+        sources = load_sources([Path(p) for p in args.paths[1:] or ["src"]])
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=err)
+        return 2
+    payload = payload_of(ProjectModel.build(sources))
+    if args.output_format == "json":
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        render_text(payload, out,
+                    args.effects_function is not None or args.verbose)
+    return 0
+
+
 def run_effects(
     args: argparse.Namespace, out: TextIO, err: TextIO
 ) -> int:
     """Execute ``repro lint effects ...``; always 0 unless usage error."""
-    # Imported here so plain lint runs never pay for the effect pass
-    # twice and ``--no-project`` stays meaningful.
-    from repro.lint.effects import analyze, effect_findings, effect_report
-    from repro.lint.findings import Finding
-    from repro.lint.project import ProjectModel
-    from repro.lint.runner import display_path, iter_python_files
-    from repro.lint.source import SourceFile
 
-    raw_paths = args.paths[1:] or ["src"]
-    try:
-        files = list(iter_python_files([Path(p) for p in raw_paths]))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    sources = [
-        SourceFile(display_path(file), file.read_text(encoding="utf-8"))
-        for file in files
-    ]
-    model = ProjectModel.build(sources)
-    analysis = analyze(model)
-    by_path = {s.display_path: s for s in sources}
-    findings: List[Finding] = []
-    for finding in effect_findings(analysis):
-        anchor = by_path.get(finding.path)
-        if anchor is None or not anchor.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            findings.append(finding)
-    payload = effect_report(analysis, findings,
-                            function=args.effects_function)
-    if args.output_format == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    _render_effects_text(payload, out, full=args.effects_function
-                         is not None or args.verbose)
-    return 0
+    def payload_of(model: ProjectModel) -> Dict[str, object]:
+        analysis = analyze(model)
+        findings, _ = model.unsuppressed(effect_findings(analysis))
+        return effect_report(analysis, findings,
+                             function=args.effects_function)
+
+    return _dump_table(args, out, err, payload_of, _render_effects_text)
 
 
 def run_units(
     args: argparse.Namespace, out: TextIO, err: TextIO
 ) -> int:
     """Execute ``repro lint units ...``; always 0 unless usage error."""
-    # Lazy for the same reason as effects: plain lint runs build the
-    # model once inside run_project_passes.
-    from repro.lint.findings import Finding
-    from repro.lint.project import ProjectModel
-    from repro.lint.runner import display_path, iter_python_files
-    from repro.lint.source import SourceFile
-    from repro.lint.units import analyze_units, unit_findings, unit_report
 
-    raw_paths = args.paths[1:] or ["src"]
-    try:
-        files = list(iter_python_files([Path(p) for p in raw_paths]))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    sources = [
-        SourceFile(display_path(file), file.read_text(encoding="utf-8"))
-        for file in files
-    ]
-    model = ProjectModel.build(sources)
-    analysis = analyze_units(model)
-    by_path = {s.display_path: s for s in sources}
-    findings: List[Finding] = []
-    for finding in unit_findings(analysis):
-        anchor = by_path.get(finding.path)
-        if anchor is None or not anchor.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            findings.append(finding)
-    payload = unit_report(analysis, findings,
-                          function=args.effects_function)
-    if args.output_format == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    _render_units_text(payload, out, full=args.effects_function
-                       is not None or args.verbose)
-    return 0
+    def payload_of(model: ProjectModel) -> Dict[str, object]:
+        analysis = analyze_units(model)
+        findings, _ = model.unsuppressed(unit_findings(analysis))
+        return unit_report(analysis, findings,
+                           function=args.effects_function)
+
+    return _dump_table(args, out, err, payload_of, _render_units_text)
 
 
 def _render_units_text(
     payload: Dict[str, object], out: TextIO, full: bool
 ) -> None:
     functions = cast(List[Dict[str, object]], payload["functions"])
-    findings = cast(List[Dict[str, object]], payload["findings"])
-    dimensioned = 0
-    for row in functions:
-        params = cast(Dict[str, str], row["params"])
+    timed = [
+        row for row in functions
         if row["returns"] != "dimensionless" or any(
-            unit != "dimensionless" for unit in params.values()
-        ):
-            dimensioned += 1
+            unit != "dimensionless"
+            for unit in cast(Dict[str, str], row["params"]).values()
+        )
+    ]
     print(
         f"{len(functions)} functions analysed, "
-        f"{dimensioned} carrying time units",
+        f"{len(timed)} carrying time units",
         file=out,
     )
-    shown = 0
-    for row in functions:
+    shown = functions if full else timed
+    for row in shown:
         params = cast(Dict[str, str], row["params"])
-        interesting = row["returns"] != "dimensionless" or any(
-            unit != "dimensionless" for unit in params.values()
-        )
-        if not (full or interesting):
-            continue
-        shown += 1
         rendered = ", ".join(
             f"{name}: {unit}" for name, unit in params.items()
             if full or unit != "dimensionless"
@@ -281,20 +236,27 @@ def _render_units_text(
             f"  {row['function']}  ({rendered}) -> {row['returns']}",
             file=out,
         )
-    hidden = len(functions) - shown
+    hidden = len(functions) - len(shown)
     if hidden > 0:
         print(f"  ... and {hidden} dimensionless functions "
               f"(--verbose shows all)", file=out)
-    if findings:
-        print(f"{len(findings)} unit finding(s):", file=out)
-        for item in findings:
-            print(
-                f"  {item['path']}:{item['line']}: {item['rule']}: "
-                f"{item['message']}",
-                file=out,
-            )
-    else:
-        print("no unit findings", file=out)
+    _print_findings(payload, "unit", out)
+
+
+def _print_findings(
+    payload: Dict[str, object], noun: str, out: TextIO
+) -> None:
+    findings = cast(List[Dict[str, object]], payload["findings"])
+    if not findings:
+        print(f"no {noun} findings", file=out)
+        return
+    print(f"{len(findings)} {noun} finding(s):", file=out)
+    for item in findings:
+        print(
+            f"  {item['path']}:{item['line']}: {item['rule']}: "
+            f"{item['message']}",
+            file=out,
+        )
 
 
 def _render_effects_text(
@@ -303,7 +265,6 @@ def _render_effects_text(
     functions = cast(List[Dict[str, object]], payload["functions"])
     globals_rows = cast(List[Dict[str, object]], payload["globals"])
     entries = cast(Dict[str, List[object]], payload["entry_points"])
-    findings = cast(List[Dict[str, object]], payload["findings"])
     print(
         f"{len(functions)} functions analysed, "
         f"{len(globals_rows)} tracked globals, "
@@ -349,13 +310,4 @@ def _render_effects_text(
                 f"{grow['path']}:{grow['line']}){note}",
                 file=out,
             )
-    if findings:
-        print(f"{len(findings)} effect finding(s):", file=out)
-        for item in findings:
-            print(
-                f"  {item['path']}:{item['line']}: {item['rule']}: "
-                f"{item['message']}",
-                file=out,
-            )
-    else:
-        print("no effect findings", file=out)
+    _print_findings(payload, "effect", out)

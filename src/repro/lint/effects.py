@@ -6,8 +6,12 @@ module's top-level code) gets an **effect summary** — which module-level
 globals it reads, which it writes, and which IO surfaces it touches —
 computed as a fixpoint over the call graph: a function's summary is its
 own local effects joined with the summaries of everything it calls.
-The join is set union over a finite universe, so the worklist converges
-on recursive and mutually-recursive graphs in O(edges × effects).
+The join is set union over a finite universe, so the shared worklist
+(:func:`repro.lint.project.solve`, re-queueing a function's callers
+whenever its summary grows) converges on recursive and
+mutually-recursive graphs in O(edges × effects).  Local effects are
+read off the AST nodes each :class:`~repro.lint.project.FunctionNode`
+owns, so this module walks no scopes of its own.
 
 On top of the summaries sit three *entry-point* discoveries:
 
@@ -52,23 +56,29 @@ from nor propagate through them.
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Deque,
+    Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.lint.base import Rule
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import MODULE_SCOPE, ModuleInfo, ProjectModel
+from repro.lint.project import (
+    FunctionNode,
+    ModuleInfo,
+    ProjectModel,
+    matches_function,
+    render_chain,
+    solve,
+)
 
 SHARED_MUTABLE_GLOBAL = "shared-mutable-global"
 CACHE_KEY_ESCAPE = "cache-key-escape"
@@ -330,15 +340,15 @@ def _collect_globals(model: ProjectModel) -> Dict[str, GlobalVar]:
 # -- local effect collection -----------------------------------------
 
 
-def _collect_binds(
-    node: "Union[ast.FunctionDef, ast.AsyncFunctionDef]",
-) -> Tuple[Set[str], Set[str]]:
+def _collect_binds(fn: FunctionNode) -> Tuple[Set[str], Set[str]]:
     """``(locally bound names, names declared global)`` for one def."""
     binds: Set[str] = set()
     declared: Set[str] = set()
+    node = fn.node
+    if isinstance(node, ast.Module):
+        return binds, declared
+    binds.update(arg.arg for arg in fn.params)
     args = node.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        binds.add(arg.arg)
     if args.vararg is not None:
         binds.add(args.vararg.arg)
     if args.kwarg is not None:
@@ -376,93 +386,52 @@ def _collect_binds(
 
 
 class _EffectCollector:
-    """One walk per module, attributing effect sites to function keys.
+    """Attributes the AST nodes one function owns to its local effects.
 
-    Mirrors the scope rules of :class:`repro.lint.project._ModuleVisitor`
-    so the keys line up with the call graph exactly.
+    A node inside a class body counts as its owner's, with the owner's
+    enclosing class (the only place the class matters is a handler
+    table, which lives in a method body).  A redefined key (property
+    setter) owns both bodies, read with the last def's local names.
     """
 
     def __init__(
         self,
         model: ProjectModel,
-        info: ModuleInfo,
+        fn: FunctionNode,
         globals_table: Dict[str, GlobalVar],
         local: Dict[str, LocalEffect],
         handler_keys: Set[str],
     ) -> None:
-        self._model = model
-        self._info = info
+        self._info = model.modules[fn.module]
         self._globals = globals_table
         self._local = local
         self._handlers = handler_keys
-        self._binds: Dict[str, Set[str]] = {}
-        self._declared: Dict[str, Set[str]] = {}
+        self._fn = fn
+        self._module_scope = isinstance(fn.node, ast.Module)
+        self._binds, self._declared = _collect_binds(fn)
 
     def run(self) -> None:
-        module_key = f"{self._info.name}:{MODULE_SCOPE}"
-        self._binds[module_key] = set()
-        self._declared[module_key] = set()
-        self._walk_body(self._info.source.tree.body, scope=(),
-                        owner=module_key, enclosing_class=None)
-
-    # -- traversal ----------------------------------------------------
-
-    def _walk_body(
-        self,
-        body: Sequence[ast.stmt],
-        scope: Tuple[str, ...],
-        owner: str,
-        enclosing_class: Optional[str],
-    ) -> None:
-        for stmt in body:
-            self._walk(stmt, scope, owner, enclosing_class)
-
-    def _walk(
-        self,
-        node: ast.AST,
-        scope: Tuple[str, ...],
-        owner: str,
-        enclosing_class: Optional[str],
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = ".".join((*scope, node.name))
-            key = f"{self._info.name}:{qualname}"
-            binds, declared = _collect_binds(node)
-            self._binds[key] = binds
-            self._declared[key] = declared
-            for decorator in node.decorator_list:
-                self._walk(decorator, scope, owner, enclosing_class)
-            for default in (*node.args.defaults,
-                            *[d for d in node.args.kw_defaults
-                              if d is not None]):
-                self._walk(default, scope, owner, enclosing_class)
-            self._walk_body(node.body, (*scope, node.name), key,
-                            enclosing_class)
-            return
-        if isinstance(node, ast.ClassDef):
-            qualname = ".".join((*scope, node.name))
-            for decorator in node.decorator_list:
-                self._walk(decorator, scope, owner, enclosing_class)
-            self._walk_body(node.body, (*scope, node.name), owner,
-                            qualname)
-            return
-        self._classify(node, owner, enclosing_class)
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, scope, owner, enclosing_class)
+        for node in self._fn.owned:
+            self._classify(node, self._fn.enclosing_class)
 
     # -- effect classification ----------------------------------------
 
-    def _effects(self, owner: str) -> LocalEffect:
-        return self._local.setdefault(owner, LocalEffect())
+    def _note(self, table: str, key: str, line: int) -> None:
+        # A module initialising (or re-reading) its own globals at
+        # import time is definition, not shared-state traffic.
+        if table != "io" and self._module_scope and key.startswith(
+            f"{self._info.name}:"
+        ):
+            return
+        effect = self._local.setdefault(self._fn.key, LocalEffect())
+        effect.note(getattr(effect, table), key, line)
 
-    def _global_key_for(
-        self, owner: str, node: ast.expr
-    ) -> Optional[str]:
+    def _global_key_for(self, node: ast.expr) -> Optional[str]:
         """``module:NAME`` when ``node`` denotes a module-level global."""
         if isinstance(node, ast.Name):
-            if node.id in self._binds.get(owner, set()):
+            if node.id in self._binds:
                 return None
-            if node.id in self._declared.get(owner, set()) or (
+            if node.id in self._declared or (
                 node.id not in self._info.source.aliases
             ):
                 key = f"{self._info.name}:{node.id}"
@@ -476,30 +445,8 @@ class _EffectCollector:
         key = f"{module}:{name}"
         return key if key in self._globals else None
 
-    def _at_module_scope(self, owner: str) -> bool:
-        return owner.endswith(f":{MODULE_SCOPE}")
-
-    def _note_read(self, owner: str, key: str, line: int) -> None:
-        # A module initialising (or re-reading) its own globals at
-        # import time is definition, not shared-state traffic.
-        if self._at_module_scope(owner) and key.startswith(
-            f"{self._info.name}:"
-        ):
-            return
-        self._effects(owner).note(self._effects(owner).reads, key, line)
-
-    def _note_write(self, owner: str, key: str, line: int) -> None:
-        if self._at_module_scope(owner) and key.startswith(
-            f"{self._info.name}:"
-        ):
-            return
-        self._effects(owner).note(self._effects(owner).writes, key, line)
-
-    def _note_io(self, owner: str, target: str, line: int) -> None:
-        self._effects(owner).note(self._effects(owner).io, target, line)
-
     def _classify(
-        self, node: ast.AST, owner: str, enclosing_class: Optional[str]
+        self, node: ast.AST, enclosing_class: Optional[str]
     ) -> None:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets: List[ast.expr]
@@ -508,74 +455,71 @@ class _EffectCollector:
             else:
                 targets = [node.target]
             for target in targets:
-                self._classify_store(node, target, owner)
+                self._classify_store(node, target)
             if isinstance(node, ast.Assign):
-                self._maybe_handler_table(node, owner, enclosing_class)
+                self._maybe_handler_table(node, enclosing_class)
             return
         if isinstance(node, ast.Call):
-            self._classify_call(node, owner)
+            self._classify_call(node)
             return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            key = self._global_key_for(owner, node)
+            key = self._global_key_for(node)
             if key is not None:
-                self._note_read(owner, key, node.lineno)
+                self._note("reads", key, node.lineno)
             return
         if isinstance(node, ast.Attribute) and isinstance(
             node.ctx, ast.Load
         ):
             resolved = self._info.source.resolve(node)
             if resolved == "os.environ":
-                self._note_io(owner, "os.environ", node.lineno)
+                self._note("io", "os.environ", node.lineno)
                 return
-            key = self._global_key_for(owner, node)
+            key = self._global_key_for(node)
             if key is not None:
-                self._note_read(owner, key, node.lineno)
+                self._note("reads", key, node.lineno)
 
-    def _classify_store(
-        self, stmt: ast.AST, target: ast.expr, owner: str
-    ) -> None:
+    def _classify_store(self, stmt: ast.AST, target: ast.expr) -> None:
         line = int(getattr(stmt, "lineno", 1))
         if isinstance(target, ast.Name):
-            if target.id in self._declared.get(owner, set()):
+            if target.id in self._declared:
                 key = f"{self._info.name}:{target.id}"
                 if key in self._globals:
-                    self._note_write(owner, key, line)
+                    self._note("writes", key, line)
             return
         if isinstance(target, (ast.Subscript, ast.Attribute)):
-            key = self._global_key_for(owner, target.value)
+            key = self._global_key_for(target.value)
             if key is not None:
-                self._note_write(owner, key, line)
+                self._note("writes", key, line)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._classify_store(stmt, element, owner)
+                self._classify_store(stmt, element)
 
-    def _classify_call(self, node: ast.Call, owner: str) -> None:
+    def _classify_call(self, node: ast.Call) -> None:
         func = node.func
         resolved = self._info.source.resolve(func)
         name = resolved
         if name is None and isinstance(func, ast.Name):
             if func.id in ("open", "input", "print") and (
-                func.id not in self._binds.get(owner, set())
+                func.id not in self._binds
                 and func.id not in self._info.functions
             ):
                 name = func.id
         if name is not None and name in _IO_CALLS:
-            self._note_io(owner, name, node.lineno)
+            self._note("io", name, node.lineno)
             return
         if (
             isinstance(func, ast.Attribute)
             and func.attr in _MUTATOR_METHODS
         ):
-            key = self._global_key_for(owner, func.value)
+            key = self._global_key_for(func.value)
             if key is not None:
                 kind = self._globals[key].kind
                 if kind == "contextvar":
                     return  # context-local by design (ambient pattern)
-                self._note_write(owner, key, node.lineno)
+                self._note("writes", key, node.lineno)
 
     def _maybe_handler_table(
-        self, node: ast.Assign, owner: str,
-        enclosing_class: Optional[str],
+        self, node: ast.Assign, enclosing_class: Optional[str]
     ) -> None:
         """``self._handlers = {Type: self._handle_x, ...}`` registration."""
         if enclosing_class is None or not isinstance(node.value, ast.Dict):
@@ -737,6 +681,10 @@ def _discover_handlers(
 # -- the fixpoint -----------------------------------------------------
 
 
+def _is_boundary(model: ProjectModel, key: str) -> bool:
+    return model.functions[key].module in EFFECT_BOUNDARY_MODULES
+
+
 def _compute_summaries(
     model: ProjectModel, local: Dict[str, LocalEffect]
 ) -> Dict[str, Summary]:
@@ -744,49 +692,26 @@ def _compute_summaries(
     for key in sorted(model.functions):
         effect = local.get(key)
         summary = Summary()
-        if effect is not None and model.functions[key].module not in (
-            EFFECT_BOUNDARY_MODULES
-        ):
+        if effect is not None and not _is_boundary(model, key):
             summary.reads = set(effect.reads)
             summary.writes = set(effect.writes)
             summary.io = set(effect.io)
         summaries[key] = summary
 
-    reverse: Dict[str, List[str]] = {}
-    for key in sorted(model.functions):
-        for edge in model.functions[key].edges:
-            if edge.internal and edge.target in summaries:
-                reverse.setdefault(edge.target, []).append(key)
-
-    worklist: Deque[str] = deque(sorted(summaries))
-    queued: Set[str] = set(worklist)
-    while worklist:
-        current = worklist.popleft()
-        queued.discard(current)
-        node = model.functions[current]
-        if node.module in EFFECT_BOUNDARY_MODULES:
-            continue  # boundary functions keep an empty summary
+    def step(current: str) -> Sequence[str]:
+        if _is_boundary(model, current):
+            return ()  # boundary functions keep an empty summary
         changed = False
-        for edge in node.edges:
-            if not edge.internal:
-                continue
-            callee = summaries.get(edge.target)
-            callee_node = model.functions.get(edge.target)
-            if callee is None or callee_node is None:
-                continue
-            if callee_node.module in EFFECT_BOUNDARY_MODULES:
-                continue
-            if summaries[current].merge(callee):
-                changed = True
-        if changed:
-            for caller in sorted(set(reverse.get(current, ()))):
-                if caller not in queued:
-                    worklist.append(caller)
-                    queued.add(caller)
+        for edge in model.functions[current].edges:
+            if edge.internal and not _is_boundary(model, edge.target):
+                changed |= summaries[current].merge(summaries[edge.target])
+        return model.callers.get(current, ()) if changed else ()
+
+    solve(sorted(summaries), step)
     return summaries
 
 
-# -- reachability and chains -----------------------------------------
+# -- reachability -----------------------------------------------------
 
 
 def _paths_from(
@@ -796,38 +721,19 @@ def _paths_from(
     if start not in model.functions:
         return {}
     paths: Dict[str, Tuple[str, ...]] = {start: (start,)}
-    queue: Deque[str] = deque([start])
-    while queue:
-        current = queue.popleft()
-        targets = sorted({
+
+    def step(current: str) -> List[str]:
+        reached = sorted({
             edge.target for edge in model.functions[current].edges
-            if edge.internal
+            if edge.internal and edge.target not in paths
+            and not _is_boundary(model, edge.target)
         })
-        for target in targets:
-            if target in paths:
-                continue
-            node = model.functions.get(target)
-            if node is None or node.module in EFFECT_BOUNDARY_MODULES:
-                continue
+        for target in reached:
             paths[target] = (*paths[current], target)
-            queue.append(target)
+        return reached
+
+    solve([start], step)
     return paths
-
-
-def _render_chain(
-    model: ProjectModel, chain: Tuple[str, ...], terminal: str
-) -> str:
-    labels: List[str] = []
-    previous: Optional[str] = None
-    for key in chain:
-        node = model.functions[key]
-        if previous is None or node.module == previous:
-            labels.append(node.qualname)
-        else:
-            labels.append(f"{node.module}:{node.qualname}")
-        previous = node.module
-    labels.append(terminal)
-    return " -> ".join(labels)
 
 
 # -- the analysis entry point ----------------------------------------
@@ -838,9 +744,9 @@ def analyze(model: ProjectModel) -> EffectAnalysis:
     globals_table = _collect_globals(model)
     local: Dict[str, LocalEffect] = {}
     registered_handlers: Set[str] = set()
-    for name in sorted(model.modules):
+    for key in sorted(model.functions):
         _EffectCollector(
-            model, model.modules[name], globals_table, local,
+            model, model.functions[key], globals_table, local,
             registered_handlers,
         ).run()
     stateful: Set[str] = {
@@ -873,22 +779,44 @@ def analyze(model: ProjectModel) -> EffectAnalysis:
 
 # -- the four rules ---------------------------------------------------
 
-
-def _site_suppressed(
-    model: ProjectModel, rule_id: str, site_key: str, line: int
-) -> bool:
-    node = model.functions.get(site_key)
-    if node is None:
-        return False
-    info = model.modules.get(node.module)
-    return info is not None and info.source.is_suppressed(rule_id, line)
+#: One effect site a rule reports: ``(target, line, verb)``.
+_Site = Tuple[str, int, str]
 
 
-def _effect_terminal(
-    model: ProjectModel, site_key: str, target: str, line: int
-) -> str:
-    node = model.functions[site_key]
-    return f"{target} ({node.path}:{line})"
+def _sites(table: Dict[str, int], verb: str) -> List[_Site]:
+    return [(target, line, verb) for target, line in sorted(table.items())]
+
+
+def _reached_sites(
+    analysis: EffectAnalysis,
+    start: str,
+    rule_id: str,
+    sites_of: Callable[[LocalEffect], List[_Site]],
+    seen: Set[Tuple[str, str]],
+) -> Iterator[Tuple[str, str, str]]:
+    """``(target, verb, chain)`` per new target reachable from ``start``.
+
+    Functions are visited nearest first.  The first site of a target
+    whose line carries no ``rule_id`` pragma is reported, and
+    ``(start, target)`` joins ``seen`` so it is reported only once.
+    """
+    model = analysis.model
+    paths = _paths_from(model, start)
+    for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
+        effect = analysis.local.get(reached)
+        if effect is None:
+            continue
+        node = model.functions[reached]
+        source = model.modules[node.module].source
+        for target, line, verb in sites_of(effect):
+            if (start, target) in seen or source.is_suppressed(
+                rule_id, line
+            ):
+                continue
+            seen.add((start, target))
+            terminal = f"{target} ({node.path}:{line})"
+            yield target, verb, render_chain(model, paths[reached],
+                                             terminal)
 
 
 def check_shared_mutable_globals(
@@ -896,97 +824,66 @@ def check_shared_mutable_globals(
 ) -> List[Finding]:
     """Task-reachable writes to unmerged module globals."""
     model = analysis.model
+
+    def unmerged_writes(effect: LocalEffect) -> List[_Site]:
+        return [
+            site for site in _sites(effect.writes, "mutates")
+            if site[0] not in MERGE_BACK_REGISTRY
+            and analysis.globals[site[0]].kind != "contextvar"
+        ]
+
     findings: List[Finding] = []
     seen: Set[Tuple[str, str]] = set()
     for entry in analysis.task_entries:
-        paths = _paths_from(model, entry.key)
-        if not paths:
-            continue
-        node = model.functions[entry.key]
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            for target in sorted(effect.writes):
-                if target in MERGE_BACK_REGISTRY:
-                    continue
-                var = analysis.globals.get(target)
-                if var is not None and var.kind == "contextvar":
-                    continue
-                if (entry.key, target) in seen:
-                    continue
-                line = effect.writes[target]
-                if _site_suppressed(model, SHARED_MUTABLE_GLOBAL,
-                                    reached, line):
-                    continue
-                seen.add((entry.key, target))
-                chain = _render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=SHARED_MUTABLE_GLOBAL,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"fork task {node.qualname} mutates module-level "
-                        f"{target} with no registered merge-back hook: "
-                        f"{chain}; worker-local mutations are dropped at "
-                        f"join — return the state with the task result "
-                        f"or register a merge-back "
-                        f"(repro.lint.effects.MERGE_BACK_REGISTRY)"
-                    ),
-                ))
+        for target, _, chain in _reached_sites(
+            analysis, entry.key, SHARED_MUTABLE_GLOBAL, unmerged_writes,
+            seen,
+        ):
+            node = model.functions[entry.key]
+            findings.append(Finding(
+                rule_id=SHARED_MUTABLE_GLOBAL,
+                path=node.path,
+                line=node.line,
+                message=(
+                    f"fork task {node.qualname} mutates module-level "
+                    f"{target} with no registered merge-back hook: "
+                    f"{chain}; worker-local mutations are dropped at "
+                    f"join — return the state with the task result "
+                    f"or register a merge-back "
+                    f"(repro.lint.effects.MERGE_BACK_REGISTRY)"
+                ),
+            ))
     return findings
 
 
 def check_cache_key_escape(analysis: EffectAnalysis) -> List[Finding]:
     """Cache builders reading state outside their key arguments."""
     model = analysis.model
+
+    def escapes(effect: LocalEffect) -> List[_Site]:
+        return [*_sites(effect.reads, "reads module state"),
+                *_sites(effect.writes, "mutates module state"),
+                *_sites(effect.io, "performs IO via")]
+
     findings: List[Finding] = []
     seen: Set[Tuple[str, str]] = set()
     for entry in analysis.cache_builders:
-        paths = _paths_from(model, entry.key)
-        if not paths:
-            continue
-        node = model.functions[entry.key]
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            escapes: List[Tuple[str, int, str]] = []
-            for target in sorted(effect.reads):
-                escapes.append((target, effect.reads[target],
-                                "reads module state"))
-            for target in sorted(effect.writes):
-                escapes.append((target, effect.writes[target],
-                                "mutates module state"))
-            for target in sorted(effect.io):
-                escapes.append((target, effect.io[target],
-                                "performs IO via"))
-            for target, line, verb in escapes:
-                if (entry.key, target) in seen:
-                    continue
-                if _site_suppressed(model, CACHE_KEY_ESCAPE, reached,
-                                    line):
-                    continue
-                seen.add((entry.key, target))
-                chain = _render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=CACHE_KEY_ESCAPE,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"cache builder {node.qualname} (registered at "
-                        f"{entry.site_path}:{entry.site_line}) {verb} "
-                        f"{target}, which is not derivable from its key "
-                        f"arguments: {chain}; a stale hit returns a "
-                        f"value built from state the key never saw"
-                    ),
-                ))
+        for target, verb, chain in _reached_sites(
+            analysis, entry.key, CACHE_KEY_ESCAPE, escapes, seen
+        ):
+            node = model.functions[entry.key]
+            findings.append(Finding(
+                rule_id=CACHE_KEY_ESCAPE,
+                path=node.path,
+                line=node.line,
+                message=(
+                    f"cache builder {node.qualname} (registered at "
+                    f"{entry.site_path}:{entry.site_line}) {verb} "
+                    f"{target}, which is not derivable from its key "
+                    f"arguments: {chain}; a stale hit returns a "
+                    f"value built from state the key never saw"
+                ),
+            ))
     return findings
 
 
@@ -995,44 +892,29 @@ def check_impure_event_handlers(
 ) -> List[Finding]:
     """Handlers whose effects escape engine-owned instance state."""
     model = analysis.model
+
+    def impure(effect: LocalEffect) -> List[_Site]:
+        return [*_sites(effect.writes, "writes"),
+                *_sites(effect.io, "performs IO via")]
+
     findings: List[Finding] = []
+    seen: Set[Tuple[str, str]] = set()
     for handler in analysis.event_handlers:
-        paths = _paths_from(model, handler)
-        if not paths:
-            continue
-        node = model.functions[handler]
-        reported: Set[str] = set()
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            sites: List[Tuple[str, int, str]] = []
-            for target in sorted(effect.writes):
-                sites.append((target, effect.writes[target], "writes"))
-            for target in sorted(effect.io):
-                sites.append((target, effect.io[target], "performs IO via"))
-            for target, line, verb in sites:
-                if target in reported:
-                    continue
-                if _site_suppressed(model, IMPURE_EVENT_HANDLER,
-                                    reached, line):
-                    continue
-                reported.add(target)
-                chain = _render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=IMPURE_EVENT_HANDLER,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"event handler {node.qualname} {verb} {target} "
-                        f"outside engine-owned state: {chain}; the "
-                        f"batched loop reorders whole slices, so handler "
-                        f"effects must stay on the engine instance"
-                    ),
-                ))
+        for target, verb, chain in _reached_sites(
+            analysis, handler, IMPURE_EVENT_HANDLER, impure, seen
+        ):
+            node = model.functions[handler]
+            findings.append(Finding(
+                rule_id=IMPURE_EVENT_HANDLER,
+                path=node.path,
+                line=node.line,
+                message=(
+                    f"event handler {node.qualname} {verb} {target} "
+                    f"outside engine-owned state: {chain}; the "
+                    f"batched loop reorders whole slices, so handler "
+                    f"effects must stay on the engine instance"
+                ),
+            ))
     return findings
 
 
@@ -1047,50 +929,38 @@ def check_fork_held_resources(
     }
     if not resources:
         return []
+
+    def uses(effect: LocalEffect) -> List[_Site]:
+        first: Dict[str, int] = {}
+        for table in (effect.reads, effect.writes):
+            for target, line in table.items():
+                if target in resources and (
+                    target not in first or line < first[target]
+                ):
+                    first[target] = line
+        return _sites(first, "uses")
+
     findings: List[Finding] = []
     seen: Set[Tuple[str, str]] = set()
     for entry in analysis.task_entries:
-        paths = _paths_from(model, entry.key)
-        if not paths:
-            continue
-        node = model.functions[entry.key]
-        for reached in sorted(paths, key=lambda k: (len(paths[k]), k)):
-            effect = analysis.local.get(reached)
-            if effect is None:
-                continue
-            uses: Dict[str, int] = {}
-            for table in (effect.reads, effect.writes):
-                for target, line in table.items():
-                    if target in resources and (
-                        target not in uses or line < uses[target]
-                    ):
-                        uses[target] = line
-            for target in sorted(uses):
-                if (entry.key, target) in seen:
-                    continue
-                line = uses[target]
-                if _site_suppressed(model, FORK_HELD_RESOURCE, reached,
-                                    line):
-                    continue
-                seen.add((entry.key, target))
-                var = analysis.globals[target]
-                chain = _render_chain(
-                    model, paths[reached],
-                    _effect_terminal(model, reached, target, line),
-                )
-                findings.append(Finding(
-                    rule_id=FORK_HELD_RESOURCE,
-                    path=node.path,
-                    line=node.line,
-                    message=(
-                        f"fork task {node.qualname} uses {target}, an OS "
-                        f"resource created at import time "
-                        f"({var.path}:{var.line}) and inherited across "
-                        f"fork: {chain}; open it inside the task (or "
-                        f"after the pool starts) so workers get their "
-                        f"own handle"
-                    ),
-                ))
+        for target, _, chain in _reached_sites(
+            analysis, entry.key, FORK_HELD_RESOURCE, uses, seen
+        ):
+            node = model.functions[entry.key]
+            var = analysis.globals[target]
+            findings.append(Finding(
+                rule_id=FORK_HELD_RESOURCE,
+                path=node.path,
+                line=node.line,
+                message=(
+                    f"fork task {node.qualname} uses {target}, an OS "
+                    f"resource created at import time "
+                    f"({var.path}:{var.line}) and inherited across "
+                    f"fork: {chain}; open it inside the task (or "
+                    f"after the pool starts) so workers get their "
+                    f"own handle"
+                ),
+            ))
     return findings
 
 
@@ -1129,18 +999,10 @@ def effect_report(
     entry_keys = {e.key for e in analysis.task_entries}
     builder_keys = {e.key for e in analysis.cache_builders}
     handler_keys = set(analysis.event_handlers)
-
-    def matches(key: str, qualname: str) -> bool:
-        if function is None:
-            return True
-        return function in (key, qualname) or key.endswith(
-            f":{function}"
-        )
-
     functions: List[Dict[str, object]] = []
     for key in sorted(model.functions):
         node = model.functions[key]
-        if not matches(key, node.qualname):
+        if not matches_function(function, key, node.qualname):
             continue
         summary = analysis.summaries[key]
         functions.append({

@@ -46,6 +46,15 @@ arbitrary objects are not resolved) and honours pragmas twice: a
 pragma on the *sink* line (e.g. ``allow[sim-wallclock]``) stops taint
 at the source, and a pragma on the reported definition suppresses the
 finding itself.
+
+The model is also the shared substrate of the effect and unit passes.
+Its walk is the only scope walk: each :class:`FunctionNode` carries
+its def node, enclosing class, the AST nodes it owns and the resolved
+:class:`CallEdge` of each call it makes, so :mod:`repro.lint.effects`
+and :mod:`repro.lint.units` never re-walk scopes or re-resolve calls.
+Every call-graph fixpoint (taint chains here, effect summaries and
+reachability, unit summaries) runs on :func:`solve`, one deterministic
+FIFO worklist over :attr:`ProjectModel.callers` and the call edges.
 """
 
 from __future__ import annotations
@@ -53,7 +62,18 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.lint.base import Rule
 from repro.lint.checkers import (
@@ -114,6 +134,11 @@ class _Sink:
     line: int
 
 
+#: What a :class:`FunctionNode` was built from: its def, or the module
+#: itself for the ``<module>`` pseudo-function.
+ScopeNode = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef]
+
+
 @dataclass
 class FunctionNode:
     """One function (or ``<module>`` pseudo-function) in the graph."""
@@ -123,7 +148,23 @@ class FunctionNode:
     qualname: str
     path: str
     line: int
+    node: ScopeNode
+    enclosing_class: Optional[str] = None
     edges: List[CallEdge] = field(default_factory=list)
+    #: The resolved edge of each call site this function owns.
+    calls: Dict[ast.Call, CallEdge] = field(default_factory=dict)
+    #: Every AST node this function owns, in walk order: its body minus
+    #: nested defs, plus the decorators and defaults of nested defs and
+    #: the bodies of classes defined here.
+    owned: List[ast.AST] = field(default_factory=list)
+
+    @property
+    def params(self) -> List[ast.arg]:
+        """Positional and keyword-only parameters, in order."""
+        if isinstance(self.node, ast.Module):
+            return []
+        args = self.node.args
+        return [*args.posonlyargs, *args.args, *args.kwonlyargs]
 
 
 @dataclass(frozen=True)
@@ -211,7 +252,7 @@ class _ModuleVisitor:
 
     def run(self) -> None:
         root = self._model.add_function(
-            self._info, MODULE_SCOPE, line=1
+            self._info, MODULE_SCOPE, self._info.source.tree, None
         )
         self._visit_body(
             self._info.source.tree.body,
@@ -245,7 +286,7 @@ class _ModuleVisitor:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = ".".join((*scope, node.name))
             child = self._model.add_function(
-                self._info, qualname, line=node.lineno
+                self._info, qualname, node, enclosing_class
             )
             if in_function:
                 # A nested def is a closure helper: assume the parent
@@ -280,6 +321,7 @@ class _ModuleVisitor:
                 in_function=False,
             )
             return
+        owner.owned.append(node)
         if isinstance(node, ast.Call):
             self._record_call(node, owner, enclosing_class)
         if isinstance(node, ast.Assign):
@@ -345,6 +387,8 @@ class ProjectModel:
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionNode] = {}
+        #: ``function key -> sorted keys of its internal callers``.
+        self.callers: Dict[str, List[str]] = {}
 
     # -- construction ------------------------------------------------
 
@@ -364,28 +408,70 @@ class ProjectModel:
             _ModuleVisitor(model, model.modules[name]).run()
         for name in sorted(model.modules):
             model._resolve_module(model.modules[name])
+        callers: Dict[str, Set[str]] = {}
+        for key, node in model.functions.items():
+            for edge in node.edges:
+                if edge.internal:
+                    callers.setdefault(edge.target, set()).add(key)
+        model.callers = {
+            key: sorted(callers[key]) for key in sorted(callers)
+        }
         return model
 
     def add_function(
-        self, info: ModuleInfo, qualname: str, line: int
+        self,
+        info: ModuleInfo,
+        qualname: str,
+        node: ScopeNode,
+        enclosing_class: Optional[str],
     ) -> FunctionNode:
         key = f"{info.name}:{qualname}"
-        node = FunctionNode(
+        function = FunctionNode(
             key=key,
             module=info.name,
             qualname=qualname,
             path=info.source.display_path,
-            line=line,
+            line=getattr(node, "lineno", 1),
+            node=node,
+            enclosing_class=enclosing_class,
         )
-        self.functions[key] = node
+        previous = self.functions.get(key)
+        if previous is not None:
+            # A redefinition (property setter, conditional def) takes
+            # over the key; the effect pass still sees both bodies.
+            function.owned = previous.owned
+        self.functions[key] = function
         info.functions[qualname] = key
-        return node
+        return function
 
     def _resolve_module(self, info: ModuleInfo) -> None:
         for raw in info.raw_calls:
             edge = self._resolve_call(info, raw)
             if edge is not None:
-                self.functions[raw.owner].edges.append(edge)
+                owner = self.functions[raw.owner]
+                owner.edges.append(edge)
+                owner.calls[raw.node] = edge
+
+    def unsuppressed(
+        self, findings: Iterable[Finding]
+    ) -> Tuple[List[Finding], int]:
+        """``(kept, suppressed)``: drop findings whose anchor line
+        carries a pragma for their rule."""
+        by_path = {
+            info.source.display_path: info.source
+            for info in self.modules.values()
+        }
+        kept: List[Finding] = []
+        suppressed = 0
+        for finding in findings:
+            anchor = by_path.get(finding.path)
+            if anchor is not None and anchor.is_suppressed(
+                finding.rule_id, finding.line
+            ):
+                suppressed += 1
+            else:
+                kept.append(finding)
+        return kept, suppressed
 
     def _resolve_call(
         self, info: ModuleInfo, raw: _RawCall
@@ -481,6 +567,63 @@ class ProjectModel:
         return None
 
 
+# -- the worklist solver --------------------------------------------
+
+
+def solve(seeds: Iterable[str], step: Callable[[str], Iterable[str]]) -> None:
+    """Run ``step`` over a FIFO worklist until no key is re-queued.
+
+    ``seeds`` fill the queue in the given order; ``step(key)`` updates
+    the client's own tables and returns the keys to re-queue, which
+    are appended in the order returned unless already waiting.  The
+    visit order depends only on the seeds and what ``step`` returns,
+    so it is deterministic; a ``step`` that re-queues only on a strict
+    rise in a finite-height lattice terminates.
+    """
+    queue: Deque[str] = deque()
+    queued: Set[str] = set()
+
+    def push(keys: Iterable[str]) -> None:
+        for key in keys:
+            if key not in queued:
+                queued.add(key)
+                queue.append(key)
+
+    push(seeds)
+    while queue:
+        key = queue.popleft()
+        queued.discard(key)
+        push(step(key))
+
+
+def render_chain(
+    model: ProjectModel, chain: Sequence[str], terminal: str
+) -> str:
+    """``f -> g -> mod:h -> terminal``; the module prefix appears only
+    where the chain crosses into another module."""
+    labels: List[str] = []
+    previous: Optional[str] = None
+    for key in chain:
+        node = model.functions[key]
+        if previous is None or node.module == previous:
+            labels.append(node.qualname)
+        else:
+            labels.append(f"{node.module}:{node.qualname}")
+        previous = node.module
+    labels.append(terminal)
+    return " -> ".join(labels)
+
+
+def matches_function(
+    function: Optional[str], key: str, qualname: str
+) -> bool:
+    """The ``--function`` filter: no filter, the exact key, the
+    qualname, or a bare-name suffix of the key."""
+    if function is None:
+        return True
+    return function in (key, qualname) or key.endswith(f":{function}")
+
+
 # -- taint passes ----------------------------------------------------
 
 
@@ -514,23 +657,20 @@ def _compute_chains(
                                 line=edge.line)
             break
 
-    reverse: Dict[str, List[str]] = {}
-    for key in sorted(model.functions):
-        for edge in model.functions[key].edges:
-            if edge.internal:
-                reverse.setdefault(edge.target, []).append(key)
-
     chains: Dict[str, Tuple[str, ...]] = {k: (k,) for k in sorted(direct)}
-    queue: Deque[str] = deque(sorted(direct))
-    while queue:
-        current = queue.popleft()
+
+    def step(current: str) -> List[str]:
         if model.functions[current].module in stop_modules:
-            continue
-        for caller in sorted(set(reverse.get(current, ()))):
-            if caller in chains:
-                continue
+            return []
+        reached = [caller for caller in model.callers.get(current, ())
+                   if caller not in chains]
+        for caller in reached:
             chains[caller] = (caller, *chains[current])
-            queue.append(caller)
+        return reached
+
+    # Breadth-first from the sinks: the first chain to reach a caller
+    # is a shortest one, ties broken by sorted key order.
+    solve(sorted(direct), step)
     return chains, direct
 
 
@@ -556,22 +696,6 @@ def _in_entry_dirs(path: str) -> bool:
     return any(part in _ENTRY_DIRS for part in directories)
 
 
-def _render_chain(
-    model: ProjectModel, chain: Tuple[str, ...], sink: _Sink
-) -> str:
-    labels: List[str] = []
-    previous_module: Optional[str] = None
-    for key in chain:
-        node = model.functions[key]
-        if previous_module is None or node.module == previous_module:
-            labels.append(node.qualname)
-        else:
-            labels.append(f"{node.module}:{node.qualname}")
-        previous_module = node.module
-    labels.append(f"{sink.target} ({sink.path}:{sink.line})")
-    return " -> ".join(labels)
-
-
 def _taint_findings(
     model: ProjectModel,
     rule_id: str,
@@ -591,6 +715,7 @@ def _taint_findings(
         if not _in_entry_dirs(node.path):
             continue
         sink = direct[chain[-1]]
+        terminal = f"{sink.target} ({sink.path}:{sink.line})"
         findings.append(
             Finding(
                 rule_id=rule_id,
@@ -598,7 +723,8 @@ def _taint_findings(
                 line=node.line,
                 message=(
                     f"{node.qualname} reaches {sink.target} through "
-                    f"helpers: {_render_chain(model, chain, sink)}; "
+                    f"helpers: "
+                    f"{render_chain(model, chain, terminal)}; "
                     f"{advice}"
                 ),
             )
@@ -700,25 +826,13 @@ def run_project_passes(
     from repro.lint.units import analyze_units, unit_findings
 
     model = ProjectModel.build(sources)
-    raw: List[Finding] = [
+    return model.unsuppressed(sort_findings([
         *check_transitive_wallclock(model),
         *check_transitive_rng(model),
         *check_stream_labels(model),
         *effect_findings(analyze(model)),
         *unit_findings(analyze_units(model)),
-    ]
-    by_path = {s.display_path: s for s in sources}
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in sort_findings(raw):
-        anchor = by_path.get(finding.path)
-        if anchor is not None and anchor.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
+    ]))
 
 
 def project_rule_catalog() -> Dict[str, str]:

@@ -17,6 +17,7 @@ from repro.lint.base import Checker
 from repro.lint.baseline import Baseline
 from repro.lint.checkers import default_checkers
 from repro.lint.findings import Finding, sort_findings
+from repro.lint.project import run_project_passes
 from repro.lint.source import SourceFile
 
 #: Pseudo-rule for files the linter cannot parse at all.  Not part of
@@ -122,42 +123,43 @@ def lint_source(
     return sort_findings(kept), suppressed
 
 
+def load_sources(
+    paths: Sequence[Path], root: Optional[Path] = None
+) -> List[SourceFile]:
+    """Read and parse every Python file under ``paths``, in order."""
+    return [
+        SourceFile(display_path(file, root=root),
+                   file.read_text(encoding="utf-8"))
+        for file in iter_python_files(paths)
+    ]
+
+
 def lint_paths(
     paths: Sequence[Path],
     checkers: Optional[Sequence[Checker]] = None,
     baseline: Optional[Baseline] = None,
     root: Optional[Path] = None,
-    project: bool = True,
 ) -> LintReport:
     """Lint every Python file under ``paths`` and build the report.
 
     ``root`` anchors the relative paths used in findings and baseline
-    keys (defaults to the current working directory).  With ``project``
-    (the default) the cross-module passes in :mod:`repro.lint.project`
-    also run, over the same parsed sources — files are read and parsed
-    exactly once either way.
+    keys (defaults to the current working directory).  The
+    cross-module passes in :mod:`repro.lint.project` run over the same
+    parsed sources, so every file is read and parsed exactly once.
     """
     active = list(checkers) if checkers is not None else list(default_checkers())
     report = LintReport()
     collected: List[Finding] = []
-    sources: List[SourceFile] = []
-    for file in iter_python_files(paths):
-        text = file.read_text(encoding="utf-8")
-        source = SourceFile(display_path(file, root=root), text)
-        sources.append(source)
+    sources = load_sources(paths, root=root)
+    for source in sources:
         findings, suppressed = lint_source(source, active)
         collected.extend(findings)
         report.suppressed += suppressed
         report.files_checked += 1
         report.checked_files.append(source.display_path)
-    if project:
-        # Imported lazily so `checkers`-only callers never pay for the
-        # graph machinery.
-        from repro.lint.project import run_project_passes
-
-        project_findings, project_suppressed = run_project_passes(sources)
-        collected.extend(project_findings)
-        report.suppressed += project_suppressed
+    project_findings, project_suppressed = run_project_passes(sources)
+    collected.extend(project_findings)
+    report.suppressed += project_suppressed
     collected = sort_findings(collected)
     if baseline is not None:
         report.findings, report.grandfathered = baseline.partition(collected)

@@ -9,7 +9,7 @@ deadlines, retry backoff, bench timing), and the *unix epoch*
 value flowing into a milliseconds slot, or a host-clock stamp being
 compared with sim time — both are plain floats.  This module closes
 that gap the same way :mod:`repro.lint.effects` closed the effect gap:
-a whole-program pass over the PR 5 call graph.
+a whole-program pass over the :mod:`repro.lint.project` call graph.
 
 Every function gets a **unit summary** — a lattice point per parameter
 plus one for its return value — inferred from three sources and joined
@@ -29,8 +29,12 @@ to a fixpoint over the call graph:
   timestamp`` is a duration, ``timestamp + duration`` a timestamp,
   scaling by a dimensionless factor preserves the unit), returns, and
   call-argument binding.  The per-field lattice is ``unknown <
-  concrete < mixed``, so the worklist converges on recursive and
-  mutually-recursive call chains.
+  concrete < mixed``, so the shared worklist
+  (:func:`repro.lint.project.solve`) converges on recursive and
+  mutually-recursive call chains.  A body re-runs only when one of its
+  parameters or a callee's return changed: a run re-queues its sorted
+  callers when its own return changes, and each callee whose
+  parameters it bound a new unit into.
 
 The lattice element is ``scale x domain x role``:
 
@@ -69,11 +73,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.base import Rule
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import MODULE_SCOPE, ModuleInfo, ProjectModel, _RawCall
+from repro.lint.project import (
+    FunctionNode,
+    ModuleInfo,
+    ProjectModel,
+    matches_function,
+    solve,
+)
 
 UNIT_MISMATCH = "unit-mismatch"
 TIME_DOMAIN_MIXING = "time-domain-mixing"
@@ -278,24 +288,7 @@ def unit_from_annotation(
     return _ANNOTATION_UNITS.get(terminal, Unit())
 
 
-# -- the per-function definition table --------------------------------
-
-
-@dataclass
-class _FnDef:
-    """One function's static shape: params, declared units, body."""
-
-    key: str
-    module: str
-    qualname: str
-    path: str
-    line: int
-    params: List[str]
-    declared: Dict[str, Unit]
-    body: Sequence[ast.stmt]
-    enclosing_class: Optional[str]
-    public: bool
-    node: Optional[ast.AST] = None
+# -- summaries and the analysis container -----------------------------
 
 
 @dataclass
@@ -306,13 +299,15 @@ class FnUnits:
     returns: Unit = field(default_factory=Unit)
     #: ``param -> provenance chain`` recording where a *flowed* clock
     #: domain came from; set once (first concrete inflow) so chains
-    #: stay stable across fixpoint rounds.
+    #: stay stable while the worklist runs.
     param_origin: Dict[str, str] = field(default_factory=dict)
     return_origin: Optional[str] = None
 
 
-def _is_public_qualname(qualname: str) -> bool:
-    for segment in qualname.split("."):
+def _is_public(fn: FunctionNode) -> bool:
+    if isinstance(fn.node, ast.Module):
+        return False
+    for segment in fn.qualname.split("."):
         if segment.startswith("_") and not (
             segment.startswith("__") and segment.endswith("__")
         ):
@@ -320,68 +315,13 @@ def _is_public_qualname(qualname: str) -> bool:
     return True
 
 
-class _DefCollector:
-    """Mirror of the project/effects scope walk, collecting defs."""
-
-    def __init__(self, info: ModuleInfo, defs: Dict[str, _FnDef]) -> None:
-        self._info = info
-        self._defs = defs
-
-    def run(self) -> None:
-        info = self._info
-        module_key = f"{info.name}:{MODULE_SCOPE}"
-        self._defs[module_key] = _FnDef(
-            key=module_key, module=info.name, qualname=MODULE_SCOPE,
-            path=info.source.display_path, line=1, params=[],
-            declared={}, body=info.source.tree.body,
-            enclosing_class=None, public=False,
-        )
-        self._walk_body(info.source.tree.body, scope=(),
-                        enclosing_class=None)
-
-    def _walk_body(
-        self, body: Sequence[ast.stmt], scope: Tuple[str, ...],
-        enclosing_class: Optional[str],
-    ) -> None:
-        for stmt in body:
-            self._walk(stmt, scope, enclosing_class)
-
-    def _walk(
-        self, node: ast.AST, scope: Tuple[str, ...],
-        enclosing_class: Optional[str],
-    ) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = ".".join((*scope, node.name))
-            key = f"{self._info.name}:{qualname}"
-            args = node.args
-            ordered = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-            params = [arg.arg for arg in ordered]
-            declared = {
-                arg.arg: join(
-                    unit_from_name(arg.arg),
-                    unit_from_annotation(arg.annotation, self._info),
-                )
-                for arg in ordered
-            }
-            self._defs[key] = _FnDef(
-                key=key, module=self._info.name, qualname=qualname,
-                path=self._info.source.display_path, line=node.lineno,
-                params=params, declared=declared, body=node.body,
-                enclosing_class=enclosing_class,
-                public=_is_public_qualname(qualname), node=node,
-            )
-            self._walk_body(node.body, (*scope, node.name),
-                            enclosing_class)
-            return
-        if isinstance(node, ast.ClassDef):
-            qualname = ".".join((*scope, node.name))
-            self._walk_body(node.body, (*scope, node.name), qualname)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._walk(child, scope, enclosing_class)
-
-
-# -- the analysis container -------------------------------------------
+def _declared_units(fn: FunctionNode, info: ModuleInfo) -> Dict[str, Unit]:
+    """``param -> unit`` its name and annotation declare, in order."""
+    return {
+        arg.arg: join(unit_from_name(arg.arg),
+                      unit_from_annotation(arg.annotation, info))
+        for arg in fn.params
+    }
 
 
 @dataclass
@@ -389,7 +329,9 @@ class UnitAnalysis:
     """Computed unit tables for one :class:`ProjectModel`."""
 
     model: ProjectModel
-    defs: Dict[str, _FnDef]
+    #: ``function key -> param -> declared unit``; the keys of each
+    #: inner map are the function's parameters, in order.
+    declared: Dict[str, Dict[str, Unit]]
     summaries: Dict[str, FnUnits]
     findings: List[Finding] = field(default_factory=list)
 
@@ -405,24 +347,25 @@ _Val = Tuple[Unit, Optional[str]]
 class _BodyAnalyzer:
     """One forward pass over one function body.
 
-    During fixpoint rounds (``report=False``) it only propagates units
+    While the worklist runs (``report=False``) it only propagates units
     into callee summaries and the function's return unit; in the final
     reporting pass it also emits findings (summaries are stable by
     then, so the extra pass changes nothing).
     """
 
     def __init__(
-        self, analysis: UnitAnalysis, fn: _FnDef, report: bool
+        self, analysis: UnitAnalysis, fn: FunctionNode, report: bool
     ) -> None:
         self._a = analysis
         self._fn = fn
         self._info = analysis.model.modules[fn.module]
         self._report = report
-        self._changed = False
+        #: Callees whose parameter summaries this run changed.
+        self._bound: List[str] = []
         self.findings: List[Finding] = []
         summary = analysis.summaries[fn.key]
         self._env: Dict[str, _Val] = {}
-        for name in fn.params:
+        for name in analysis.declared[fn.key]:
             unit = summary.params[name]
             why = f"parameter '{name}'"
             origin = summary.param_origin.get(name)
@@ -434,21 +377,24 @@ class _BodyAnalyzer:
 
     # -- driver -------------------------------------------------------
 
-    def run(self) -> bool:
-        for stmt in self._fn.body:
+    def run(self) -> List[str]:
+        """Analyse the body; returns the keys whose inputs changed."""
+        for stmt in self._fn.node.body:
             self._stmt(stmt)
         summary = self._a.summaries[self._fn.key]
         new_ret = join(summary.returns, self._ret)
-        if new_ret != summary.returns:
-            summary.returns = new_ret
-            self._changed = True
+        changed = new_ret != summary.returns
+        summary.returns = new_ret
         if (
             summary.return_origin is None
             and new_ret.domain in _CONCRETE_DOMAINS
             and self._ret_why is not None
         ):
             summary.return_origin = self._ret_why
-        return self._changed
+            changed = True
+        if not changed:
+            return self._bound
+        return [*self._bound, *self._a.model.callers.get(self._fn.key, ())]
 
     # -- findings -----------------------------------------------------
 
@@ -748,8 +694,9 @@ class _BodyAnalyzer:
                 out = (join(out[0], unit), out[1] or why)
             return out
 
-        key = self._resolve_internal(node)
-        if key is not None and key in self._a.defs:
+        edge = self._fn.calls.get(node)
+        if edge is not None and edge.internal:
+            key = edge.target
             self._bind(key, arg_vals, kw_vals)
             summary = self._a.summaries[key]
             why: Optional[str] = None
@@ -789,35 +736,26 @@ class _BodyAnalyzer:
             return "ms"
         return None
 
-    def _resolve_internal(self, node: ast.Call) -> Optional[str]:
-        raw = _RawCall(owner=self._fn.key, node=node,
-                       enclosing_class=self._fn.enclosing_class)
-        edge = self._a.model._resolve_call(self._info, raw)
-        if edge is not None and edge.internal:
-            return edge.target
-        return None
-
     def _bind(
         self,
         callee_key: str,
         arg_vals: List[Tuple[ast.expr, _Val]],
         kw_vals: List[Tuple[str, ast.expr, _Val]],
     ) -> None:
-        callee = self._a.defs[callee_key]
+        callee = self._a.declared[callee_key]
+        params = list(callee)
         summary = self._a.summaries[callee_key]
-        start = 1 if callee.params and callee.params[0] in (
-            "self", "cls"
-        ) else 0
+        start = 1 if params and params[0] in ("self", "cls") else 0
         pairs: List[Tuple[str, ast.expr, _Val]] = []
         for index, (arg_node, value) in enumerate(arg_vals):
             position = start + index
-            if position < len(callee.params):
-                pairs.append((callee.params[position], arg_node, value))
+            if position < len(params):
+                pairs.append((params[position], arg_node, value))
         for name, arg_node, value in kw_vals:
-            if name in callee.declared:
+            if name in callee:
                 pairs.append((name, arg_node, value))
         for name, arg_node, (unit, why) in pairs:
-            declared = callee.declared[name]
+            declared = callee[name]
             line = getattr(arg_node, "lineno", 1)
             if (
                 unit.scale in _CONCRETE_SCALES
@@ -852,9 +790,8 @@ class _BodyAnalyzer:
                 continue
             old = summary.params[name]
             new = join(old, flowed)
-            if new != old:
-                summary.params[name] = new
-                self._changed = True
+            changed = new != old
+            summary.params[name] = new
             if (
                 new.domain in _CONCRETE_DOMAINS
                 and name not in summary.param_origin
@@ -864,6 +801,9 @@ class _BodyAnalyzer:
                     f"{source} bound at {self._fn.path}:{line} in "
                     f"{self._fn.qualname}"
                 )
+                changed = True
+            if changed and callee_key not in self._bound:
+                self._bound.append(callee_key)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -1001,15 +941,14 @@ class _BodyAnalyzer:
 
 def _boundary_findings(analysis: UnitAnalysis) -> List[Finding]:
     findings: List[Finding] = []
-    for key in sorted(analysis.defs):
-        fn = analysis.defs[key]
-        if not fn.public or fn.node is None:
+    for key in sorted(analysis.model.functions):
+        fn = analysis.model.functions[key]
+        if not _is_public(fn):
             continue
         info = analysis.model.modules[fn.module]
-        for name in fn.params:
+        for name, declared in analysis.declared[key].items():
             if name in ("self", "cls"):
                 continue
-            declared = fn.declared[name]
             if declared.scale is not None or declared.domain is not None:
                 continue
             parts = name.lower().split("_")
@@ -1036,33 +975,26 @@ def _boundary_findings(analysis: UnitAnalysis) -> List[Finding]:
 
 # -- the analysis entry point -----------------------------------------
 
-#: Fixpoint safety valve; the per-field lattice has height 2, so real
-#: trees converge in a handful of rounds.
-_MAX_ROUNDS = 20
-
 
 def analyze_units(model: ProjectModel) -> UnitAnalysis:
     """Run the whole dimensional pass over a built project model."""
-    defs: Dict[str, _FnDef] = {}
-    for name in sorted(model.modules):
-        _DefCollector(model.modules[name], defs).run()
-    summaries = {
-        key: FnUnits(params={
-            name: defs[key].declared[name] for name in defs[key].params
-        })
-        for key in defs
+    functions = model.functions
+    declared = {
+        key: _declared_units(fn, model.modules[fn.module])
+        for key, fn in functions.items()
     }
-    analysis = UnitAnalysis(model=model, defs=defs, summaries=summaries)
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for key in sorted(defs):
-            if _BodyAnalyzer(analysis, defs[key], report=False).run():
-                changed = True
-        if not changed:
-            break
+    analysis = UnitAnalysis(
+        model=model,
+        declared=declared,
+        summaries={key: FnUnits(params=dict(declared[key]))
+                   for key in functions},
+    )
+    solve(sorted(functions),
+          lambda key: _BodyAnalyzer(analysis, functions[key],
+                                    report=False).run())
     findings: List[Finding] = []
-    for key in sorted(defs):
-        analyzer = _BodyAnalyzer(analysis, defs[key], report=True)
+    for key in sorted(functions):
+        analyzer = _BodyAnalyzer(analysis, functions[key], report=True)
         analyzer.run()
         findings.extend(analyzer.findings)
     findings.extend(_boundary_findings(analysis))
@@ -1096,39 +1028,20 @@ def unit_report(
     --function`` — exact key, qualname, or bare-name match.
     """
     model = analysis.model
-
-    def matches(key: str, qualname: str) -> bool:
-        if function is None:
-            return True
-        return function in (key, qualname) or key.endswith(
-            f":{function}"
-        )
-
     functions: List[Dict[str, object]] = []
     for key in sorted(model.functions):
         node = model.functions[key]
-        if not matches(key, node.qualname):
+        if not matches_function(function, key, node.qualname):
             continue
-        fn = analysis.defs.get(key)
-        summary = analysis.summaries.get(key)
-        if fn is None or summary is None:
-            params: Dict[str, str] = {}
-            returns = Unit()
-            public = False
-        else:
-            params = {
-                name: summary.params[name].label()
-                for name in fn.params
-            }
-            returns = summary.returns
-            public = fn.public
+        summary = analysis.summaries[key]
         functions.append({
             "function": key,
             "path": node.path,
             "line": node.line,
-            "params": params,
-            "returns": returns.label(),
-            "public": public,
+            "params": {name: unit.label()
+                       for name, unit in summary.params.items()},
+            "returns": summary.returns.label(),
+            "public": _is_public(node),
         })
     return {
         "functions": functions,

@@ -1,4 +1,4 @@
-"""Cross-module passes: call graph, taint chains, stream labels.
+"""Cross-module passes: call graph, taint chains, stream labels, solver.
 
 Each test assembles a miniature ``src/repro`` tree out of in-memory
 :class:`SourceFile` objects and runs :func:`run_project_passes` over
@@ -9,10 +9,12 @@ taint rules, the rendered call chain in the message.
 import textwrap
 
 from repro.lint import SourceFile, run_project_passes
+from repro.lint.effects import analyze, effect_findings
 from repro.lint.project import (
     MODULE_SCOPE,
     ProjectModel,
     module_name_for,
+    solve,
 )
 
 
@@ -451,3 +453,155 @@ class TestStreamLabels:
             ),
         )
         assert triples == []
+
+
+def propagate(graph, local):
+    """Set-union reachability over ``graph`` on the solver: each key
+    ends up holding its own facts plus those of every key it reaches.
+    Returns ``(facts, steps)``, ``steps`` being the keys run, in order."""
+    facts = {key: set(local.get(key, ())) for key in graph}
+    callers = {key: sorted(k for k in graph if key in graph[k])
+               for key in graph}
+    steps = []
+
+    def step(key):
+        steps.append(key)
+        before = len(facts[key])
+        for callee in graph[key]:
+            facts[key] |= facts[callee]
+        return callers[key] if len(facts[key]) != before else []
+
+    solve(sorted(graph), step)
+    return facts, steps
+
+
+class TestSolver:
+    def test_mutual_recursion_and_self_loop_converge(self):
+        facts, steps = propagate(
+            {"a": ["b"], "b": ["a", "c"], "c": ["c"], "d": ["a"]},
+            {"c": {"io"}, "d": {"write"}},
+        )
+        assert facts == {"a": {"io"}, "b": {"io"}, "c": {"io"},
+                         "d": {"io", "write"}}
+        # The four seeds run once each; b grows from c and re-queues a,
+        # a grows from b and re-queues b and d; then nothing changes.
+        assert steps == ["a", "b", "c", "d", "a", "b", "d"]
+
+    def test_a_waiting_key_is_queued_once_in_fifo_order(self):
+        order = []
+
+        def step(key):
+            order.append(key)
+            return {"a": ["c", "b", "c"], "b": ["c"]}.get(key, [])
+
+        solve(["b", "a", "b"], step)
+        # The duplicate seed is dropped; a's re-queues land behind the
+        # waiting keys, and c, already waiting, is not queued twice.
+        assert order == ["b", "a", "c", "b", "c"]
+
+
+class TestChainsOnTheSolver:
+    def test_equal_length_chains_tie_break_in_sorted_fifo_order(self):
+        # run reaches time.time through _b (called and defined first)
+        # and through _a; both chains have length 3.  The sinks seed
+        # the queue sorted, so _a reaches run first and its chain wins.
+        triples, findings, _ = run_passes((
+            "src/repro/simulator/eng.py",
+            """\
+            import time
+
+            def _b():
+                return time.time()
+
+            def _a():
+                return time.time()
+
+            def run():
+                return _b() + _a()
+            """,
+        ))
+        assert [t[0] for t in triples] == ["transitive-wallclock"]
+        assert "run -> _a -> time.time" in findings[0].message
+
+    def test_stop_module_does_not_propagate_a_helpers_taint(self):
+        # perf_seconds itself calls a tainted helper outside the stop
+        # module: the taint reaches perf_seconds but goes no further.
+        triples, _, _ = run_passes(
+            (
+                "src/repro/simulator/eng.py",
+                """\
+                from repro.obs.profiling import perf_seconds
+
+                def run():
+                    return perf_seconds()
+                """,
+            ),
+            (
+                "src/repro/obs/profiling.py",
+                """\
+                from repro.utils.hlp import read_clock
+
+                def perf_seconds():
+                    return read_clock()
+                """,
+            ),
+            (
+                "src/repro/utils/hlp.py",
+                """\
+                import time
+
+                def read_clock():
+                    return time.time()
+                """,
+            ),
+        )
+        assert triples == []
+
+    def test_effect_boundary_stops_summaries_and_reachability(self):
+        # A fork task calls into the scheduler (a boundary module),
+        # which calls a helper that writes a global.  Neither the
+        # summary nor the task's reachable set crosses the boundary.
+        analysis = analyze(ProjectModel.build([
+            make_source(
+                "src/repro/exp/driver.py",
+                """\
+                from repro.runtime.scheduler import map_tasks, settle
+
+                def task(item):
+                    return settle(item)
+
+                def run():
+                    return map_tasks(task, [1])
+                """,
+            ),
+            make_source(
+                "src/repro/runtime/scheduler.py",
+                """\
+                from repro.exp.state import bump
+
+                def map_tasks(fn, items):
+                    return [fn(item) for item in items]
+
+                def settle(item):
+                    return bump(item)
+                """,
+            ),
+            make_source(
+                "src/repro/exp/state.py",
+                """\
+                _SEEN = {}
+
+                def bump(item):
+                    _SEEN[item] = 1
+                    return item
+                """,
+            ),
+        ]))
+        assert analysis.summaries["repro.exp.state:bump"].writes == {
+            "repro.exp.state:_SEEN"
+        }
+        assert analysis.classify("repro.exp.driver:task") == "pure"
+        assert [e.key for e in analysis.task_entries] == [
+            "repro.exp.driver:task"
+        ]
+        assert effect_findings(analysis) == []

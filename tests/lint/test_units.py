@@ -381,6 +381,31 @@ class TestFixpoint:
             "value"
         ]
 
+    def test_unit_crosses_a_thirty_deep_chain_against_key_order(self):
+        # entry(delay_ms) -> f29 -> ... -> f00: every hop runs *against*
+        # sorted key order, so a fixed number of rounds over the keys
+        # would stop before the ms unit reaches f00.
+        lines = [
+            "from repro.obs.profiling import perf_seconds",
+            "",
+            "",
+            "def f00(x):",
+            "    return x + perf_seconds()",
+        ]
+        for depth in range(1, 30):
+            lines += ["", "", f"def f{depth:02d}(x):",
+                      f"    return f{depth - 1:02d}(x)"]
+        lines += ["", "", "def entry(delay_ms):", "    return f29(delay_ms)"]
+        analysis = build_analysis(
+            ("src/repro/exp/deep.py", "\n".join(lines) + "\n")
+        )
+        triples, findings = unit_triples(analysis)
+        assert triples == [(UNIT_MISMATCH, "src/repro/exp/deep.py", 5)]
+        assert "ms" in findings[0].message
+        assert analysis.summary("repro.exp.deep:f00").params["x"].scale == (
+            "ms"
+        )
+
 
 class TestReport:
     def test_every_function_gets_a_row_with_labels(self):
