@@ -60,6 +60,11 @@ class TestRunSuite:
         assert payload["kind"] == "run_manifest"
         assert payload["label"] == "fig4"
 
+    def test_fig7_phases_include_gnp(self):
+        """GNP, most of fig7's wall time, runs under a named phase."""
+        run = run_suite(figures=["fig7"], repetitions=1)
+        assert "fig7/coords/gnp" in run.manifests["fig7"].phase_timings_s
+
     def test_unknown_figure_rejected(self):
         with pytest.raises(ReproError):
             run_suite(figures=["fig99"])
