@@ -7,19 +7,15 @@ PYTHON ?= python
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
-# repro lint always runs (stdlib-only); ruff/mypy are dev-extra tools
-# (pip install -e .[dev]) and are skipped gracefully when absent so
-# `make lint` works in minimal containers.  The effects/units dumps
-# mirror what CI uploads as artifacts (lint-effects.json,
-# lint-units.json).
+# repro lint always runs (stdlib-only), once: it parses and models src/
+# a single time for every rule.  `repro lint --format json` (what CI
+# uploads as lint-report.json) also carries the whole-program effect and
+# unit tables under its `effects` and `units` keys; `repro lint effects`
+# and `repro lint units` print one of them as text.  ruff/mypy are
+# dev-extra tools (pip install -e .[dev]) and are skipped gracefully
+# when absent so `make lint` works in minimal containers.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint effects --format json \
-		> lint-effects.json
-	@echo "wrote lint-effects.json (whole-program effect table)"
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint units --format json \
-		> lint-units.json
-	@echo "wrote lint-units.json (per-function unit/time-domain table)"
 	@if command -v ruff >/dev/null 2>&1; then ruff check; \
 		else echo "ruff not installed; skipping (pip install -e .[dev])"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
@@ -70,6 +66,5 @@ suite:
 # outputs of the figure suite, not build artifacts.
 clean:
 	rm -rf build dist src/repro.egg-info .pytest_cache .benchmarks
-	rm -f .sanitize_serial.json .sanitize_jobs2.json lint-effects.json \
-		lint-units.json
+	rm -f .sanitize_serial.json .sanitize_jobs2.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -35,12 +35,7 @@ from repro.lint.checkers import (
     rule_catalog,
 )
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import (
-    PROJECT_RULES,
-    ProjectModel,
-    project_rule_catalog,
-    run_project_passes,
-)
+from repro.lint.project import PROJECT_RULES, ProjectModel
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import (
     PARSE_ERROR,
@@ -48,6 +43,8 @@ from repro.lint.runner import (
     iter_python_files,
     lint_paths,
     lint_source,
+    lint_sources,
+    project_rule_catalog,
 )
 from repro.lint.source import SourceFile
 from repro.lint.units import (
@@ -82,11 +79,11 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "lint_source",
+    "lint_sources",
     "project_rule_catalog",
     "render_json",
     "render_text",
     "rule_catalog",
-    "run_project_passes",
     "sort_findings",
     "unit_findings",
     "unit_report",

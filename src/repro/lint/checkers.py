@@ -63,6 +63,22 @@ NUMPY_RNG_ALLOWED = frozenset({
 })
 
 
+def rng_sink_rule(target: str) -> Optional[str]:
+    """The rule a call to ``target`` breaks by drawing ambient RNG state.
+
+    Shared with the cross-module ``transitive-rng`` pass, which treats
+    the same calls as taint sinks when reached *through helpers*.
+    """
+    if target == "random" or target.startswith("random."):
+        return RNG_STDLIB
+    if (
+        target.startswith("numpy.random.")
+        and target.split(".")[2] not in NUMPY_RNG_ALLOWED
+    ):
+        return RNG_NUMPY_GLOBAL
+    return None
+
+
 class RngDisciplineChecker(Checker):
     """All randomness must flow through seeded ``np.random.Generator``s."""
 
@@ -76,52 +92,45 @@ class RngDisciplineChecker(Checker):
              "np.random.default_rng() without a seed outside utils/rng.py"),
     )
 
-    #: numpy.random attributes that are generator plumbing, not the
-    #: legacy global-state surface.
-    _NUMPY_ALLOWED = NUMPY_RNG_ALLOWED
+    _MESSAGES = {
+        RNG_STDLIB: "call to stdlib {!r}: all randomness must flow "
+                    "through a seeded numpy Generator (repro.utils.rng)",
+        RNG_NUMPY_GLOBAL: "legacy global-state numpy RNG {!r}: seed an "
+                          "explicit np.random.Generator instead",
+    }
 
     #: The one module allowed to normalise a None seed into OS entropy.
     _UNSEEDED_ALLOWED_SUFFIX = "utils/rng.py"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = source.resolve(node.func)
             if resolved is None:
                 continue
-            if resolved == "random" or resolved.startswith("random."):
+            rule = rng_sink_rule(resolved)
+            if rule is not None:
                 yield self.finding(
-                    RNG_STDLIB, source, node.lineno,
-                    f"call to stdlib {resolved!r}: all randomness must "
-                    f"flow through a seeded numpy Generator "
-                    f"(repro.utils.rng)",
+                    rule, source, node.lineno,
+                    self._MESSAGES[rule].format(resolved),
                     col=node.col_offset,
                 )
-            elif resolved.startswith("numpy.random."):
-                tail = resolved.split(".")[2]
-                if tail not in self._NUMPY_ALLOWED:
-                    yield self.finding(
-                        RNG_NUMPY_GLOBAL, source, node.lineno,
-                        f"legacy global-state numpy RNG {resolved!r}: "
-                        f"seed an explicit np.random.Generator instead",
-                        col=node.col_offset,
-                    )
-                elif (
-                    tail == "default_rng"
-                    and not node.args
-                    and not node.keywords
-                    and not source.display_path.endswith(
-                        self._UNSEEDED_ALLOWED_SUFFIX
-                    )
-                ):
-                    yield self.finding(
-                        RNG_UNSEEDED, source, node.lineno,
-                        "np.random.default_rng() without a seed draws OS "
-                        "entropy; pass a seed (only repro.utils.rng may "
-                        "normalise None)",
-                        col=node.col_offset,
-                    )
+            elif (
+                resolved.split(".")[:3] == ["numpy", "random", "default_rng"]
+                and not node.args
+                and not node.keywords
+                and not source.display_path.endswith(
+                    self._UNSEEDED_ALLOWED_SUFFIX
+                )
+            ):
+                yield self.finding(
+                    RNG_UNSEEDED, source, node.lineno,
+                    "np.random.default_rng() without a seed draws OS "
+                    "entropy; pass a seed (only repro.utils.rng may "
+                    "normalise None)",
+                    col=node.col_offset,
+                )
 
 
 class SimulatedTimeChecker(Checker):
@@ -152,7 +161,7 @@ class SimulatedTimeChecker(Checker):
     def check(self, source: SourceFile) -> Iterator[Finding]:
         if not self._in_scope(source):
             return
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             resolved = source.resolve(node)
@@ -166,6 +175,74 @@ class SimulatedTimeChecker(Checker):
                 )
 
 
+def unwrap_partial(source: SourceFile, node: ast.expr) -> ast.expr:
+    """The callable a ``functools.partial(fn, ...)`` wraps (recursively),
+    or ``node`` itself when it is not such a call."""
+    while isinstance(node, ast.Call) and node.args:
+        ctor = source.resolve(node.func)
+        if not (ctor == "functools.partial" or (
+            isinstance(node.func, ast.Name) and node.func.id == "partial"
+        )):
+            break
+        node = node.args[0]
+    return node
+
+
+def _is_scheduler_ctor(source: SourceFile, node: ast.expr) -> bool:
+    """Does ``node`` construct a ``TaskScheduler``?"""
+    if not isinstance(node, ast.Call):
+        return False
+    ctor = source.resolve(node.func)
+    return (ctor is not None and ctor.endswith("TaskScheduler")) or (
+        isinstance(node.func, ast.Name) and node.func.id == "TaskScheduler"
+    )
+
+
+def task_dispatches(source: SourceFile) -> Iterator[ast.Call]:
+    """Every call in ``source`` that hands a work unit to the task pool.
+
+    A dispatch is ``map_tasks(fn, ...)`` or ``.map(fn, ...)`` /
+    ``.submit(fn, ...)`` on a ``TaskScheduler(...)`` expression, on a
+    name assigned one anywhere in the file, or on a name containing
+    ``scheduler``.  The fork-safety checker and the effect pass's
+    fork-task entries both ask this one predicate.
+    """
+    scheduler_names = {
+        target.id
+        for node in source.nodes
+        if isinstance(node, ast.Assign)
+        and _is_scheduler_ctor(source, node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    for node in source.nodes:
+        if isinstance(node, ast.Call) and node.args and _dispatches(
+            source, node.func, scheduler_names
+        ):
+            yield node
+
+
+def _dispatches(
+    source: SourceFile, func: ast.expr, scheduler_names: Set[str]
+) -> bool:
+    resolved = source.resolve(func)
+    if resolved is not None and (
+        resolved == "map_tasks" or resolved.endswith(".map_tasks")
+    ):
+        return True
+    if resolved is None and isinstance(func, ast.Name):
+        return func.id == "map_tasks"
+    if not (isinstance(func, ast.Attribute) and func.attr in (
+        "map", "submit"
+    )):
+        return False
+    receiver = func.value
+    if isinstance(receiver, ast.Name):
+        return (receiver.id in scheduler_names
+                or "scheduler" in receiver.id.lower())
+    return _is_scheduler_ctor(source, receiver)
+
+
 class ForkSafetyChecker(Checker):
     """Work units given to the task scheduler must be module-level."""
 
@@ -175,21 +252,13 @@ class ForkSafetyChecker(Checker):
              "non-picklable callable handed to map_tasks/TaskScheduler"),
     )
 
-    _METHODS = frozenset({"map", "submit"})
-
     def check(self, source: SourceFile) -> Iterator[Finding]:
         nested = self._nested_def_names(source)
         lambda_names = self._lambda_bound_names(source)
-        scheduler_names = self._scheduler_names(source)
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not self._is_task_dispatch(source, node, scheduler_names):
-                continue
-            if not node.args:
-                continue
+        for node in task_dispatches(source):
             reason = self._unpicklable_reason(
-                source, node.args[0], nested, lambda_names
+                source, unwrap_partial(source, node.args[0]), nested,
+                lambda_names,
             )
             if reason is not None:
                 yield self.finding(
@@ -200,38 +269,8 @@ class ForkSafetyChecker(Checker):
                     col=node.col_offset,
                 )
 
-    def _is_task_dispatch(
-        self, source: SourceFile, node: ast.Call, scheduler_names: Set[str]
-    ) -> bool:
-        func = node.func
-        resolved = source.resolve(func)
-        if resolved is not None and (
-            resolved == "map_tasks" or resolved.endswith(".map_tasks")
-        ):
-            return True
-        if (
-            resolved is None
-            and isinstance(func, ast.Name)
-            and func.id == "map_tasks"
-        ):
-            return True
-        if isinstance(func, ast.Attribute) and func.attr in self._METHODS:
-            receiver = func.value
-            if isinstance(receiver, ast.Name):
-                name = receiver.id
-                return name in scheduler_names or "scheduler" in name.lower()
-            if isinstance(receiver, ast.Call):
-                ctor = source.resolve(receiver.func)
-                if ctor is not None and ctor.endswith("TaskScheduler"):
-                    return True
-                return (
-                    isinstance(receiver.func, ast.Name)
-                    and receiver.func.id == "TaskScheduler"
-                )
-        return False
-
+    @staticmethod
     def _unpicklable_reason(
-        self,
         source: SourceFile,
         arg: ast.AST,
         nested: Set[str],
@@ -245,25 +284,14 @@ class ForkSafetyChecker(Checker):
             if arg.id in lambda_names:
                 return f"{arg.id!r} (bound to a lambda)"
             return None
-        if isinstance(arg, ast.Attribute):
-            if source.resolve(arg) is not None:
-                return None  # module-level attribute; picklable by name
+        if isinstance(arg, ast.Attribute) and source.resolve(arg) is None:
             return f"bound method / object attribute {arg.attr!r}"
-        if isinstance(arg, ast.Call):
-            ctor = source.resolve(arg.func)
-            is_partial = ctor == "functools.partial" or (
-                isinstance(arg.func, ast.Name) and arg.func.id == "partial"
-            )
-            if is_partial and arg.args:
-                return self._unpicklable_reason(
-                    source, arg.args[0], nested, lambda_names
-                )
-        return None
+        return None  # module-level names and attributes pickle by name
 
     def _nested_def_names(self, source: SourceFile) -> Set[str]:
         names: Set[str] = set()
         parents = source.parents
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             ancestor = parents.get(node)
@@ -279,7 +307,7 @@ class ForkSafetyChecker(Checker):
 
     def _lambda_bound_names(self, source: SourceFile) -> Set[str]:
         names: Set[str] = set()
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             value: Optional[ast.AST] = None
             targets: List[ast.AST] = []
             if isinstance(node, ast.Assign):
@@ -290,27 +318,6 @@ class ForkSafetyChecker(Checker):
                 for target in targets:
                     if isinstance(target, ast.Name):
                         names.add(target.id)
-        return names
-
-    def _scheduler_names(self, source: SourceFile) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            ctor = source.resolve(value.func)
-            is_scheduler = (ctor is not None and
-                            ctor.endswith("TaskScheduler")) or (
-                isinstance(value.func, ast.Name)
-                and value.func.id == "TaskScheduler"
-            )
-            if not is_scheduler:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
         return names
 
 
@@ -331,7 +338,7 @@ class IterationOrderChecker(Checker):
     _SEQUENCING_BUILTINS = frozenset({"list", "tuple", "enumerate", "iter"})
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             listing = self._listing_label(source, node)
@@ -342,7 +349,7 @@ class IterationOrderChecker(Checker):
                     f"call in sorted(...)",
                     col=node.col_offset,
                 )
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not self._is_set_expression(source, node):
                 continue
             consumed = self._ordered_consumption(source, node)
@@ -423,7 +430,7 @@ class MutableDefaultChecker(Checker):
     })
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
@@ -489,7 +496,7 @@ class SwallowedExceptionChecker(Checker):
     })
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             label = self._broad_label(source, node.type)

@@ -3,21 +3,18 @@
 Exit codes: ``0`` — clean (no findings outside the baseline); ``1`` —
 new findings; ``2`` — usage error (missing path or baseline).
 
-``repro lint effects [PATHS] [--function QUALNAME] [--format json]``
-dumps the whole-program effect table (see :mod:`repro.lint.effects`)
-instead of gating: every function's effect class, reads/writes/IO,
-entry-point flags, and the effect-rule findings with their call
-chains.  It always exits 0 — the gate is the regular ``repro lint``
-run, which includes the same four rules.  The JSON output is
-deterministic (sorted keys, canonical ordering) so CI can diff it as
-an artifact.
+One run gates and tabulates: ``repro lint --format json`` adds the
+whole-program ``effects`` and ``units`` tables to the report (see
+:mod:`repro.lint.effects` and :mod:`repro.lint.units`).
 
-``repro lint units [PATHS] [--function QUALNAME] [--format json]``
-dumps the per-function unit/time-domain table from the dimensional
-analysis (see :mod:`repro.lint.units`): every function's parameter and
-return units plus the four dimensional-rule findings.  Like ``effects``
-mode it always exits 0 — the gate is the regular ``repro lint`` run —
-and the JSON is byte-deterministic for CI artifact diffing.
+``repro lint effects|units [PATHS] [--function QUALNAME] [--format
+json]`` runs the same lint and prints just one of those tables, as text
+or JSON, optionally restricted to one function: every function's
+effect class, reads/writes/IO and entry-point flags, or its parameter
+and return units, plus the rules' findings.  A view always exits 0 —
+the gate is the regular ``repro lint`` run — and its JSON is
+byte-deterministic (sorted keys, canonical ordering), equal to the
+report's ``effects`` / ``units`` key.
 
 ``--update-baseline`` rewrites the baseline and exits 0: the ratchet
 workflow is *fix what you can, then re-baseline the remainder
@@ -34,15 +31,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TextIO, Tuple, cast
+from typing import Dict, List, Optional, TextIO, Tuple, cast
 
 from repro.lint.baseline import Baseline
 from repro.lint.checkers import rule_catalog
-from repro.lint.effects import analyze, effect_findings, effect_report
-from repro.lint.project import ProjectModel, project_rule_catalog
 from repro.lint.reporters import render_json, render_text
-from repro.lint.runner import lint_paths, load_sources
-from repro.lint.units import analyze_units, unit_findings, unit_report
+from repro.lint.runner import LintReport, lint_paths, project_rule_catalog
 
 #: Baseline picked up automatically when present in the working tree.
 DEFAULT_BASELINE = "lint_baseline.json"
@@ -118,22 +112,30 @@ def run_lint(
             print(f"{rule_id.ljust(width)}  {catalog[rule_id]}", file=out)
         return 0
 
-    if args.paths and args.paths[0] == "effects":
-        return run_effects(args, out, err)
-
-    if args.paths and args.paths[0] == "units":
-        return run_units(args, out, err)
-
-    baseline, baseline_path, code = _resolve_baseline(args, err)
-    if code != 0:
-        return code
-
-    paths: List[Path] = [Path(p) for p in args.paths]
+    view = args.paths[0] if args.paths and args.paths[0] in _VIEWS else None
+    if view is None:
+        baseline, baseline_path, code = _resolve_baseline(args, err)
+        if code != 0:
+            return code
+        paths = [Path(p) for p in args.paths]
+    else:
+        baseline, baseline_path = None, None
+        paths = [Path(p) for p in args.paths[1:] or ["src"]]
     try:
         report = lint_paths(paths, baseline=baseline)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=err)
         return 2
+
+    if view is not None:
+        tabulate, render_table = _VIEWS[view]
+        table = tabulate(report, args.effects_function)
+        if args.output_format == "json":
+            out.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        else:
+            render_table(table, out,
+                         args.effects_function is not None or args.verbose)
+        return 0
 
     if args.update_baseline:
         target = baseline_path if baseline_path is not None else Path(
@@ -156,57 +158,6 @@ def run_lint(
     else:
         print(render_text(report, verbose=args.verbose), file=out)
     return 0 if report.clean else 1
-
-
-def _dump_table(
-    args: argparse.Namespace,
-    out: TextIO,
-    err: TextIO,
-    payload_of: Callable[[ProjectModel], Dict[str, object]],
-    render_text: Callable[[Dict[str, object], TextIO, bool], None],
-) -> int:
-    """Shared body of ``lint effects`` and ``lint units``: load the
-    paths after the mode word, build the model, print its table."""
-    try:
-        sources = load_sources([Path(p) for p in args.paths[1:] or ["src"]])
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    payload = payload_of(ProjectModel.build(sources))
-    if args.output_format == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        render_text(payload, out,
-                    args.effects_function is not None or args.verbose)
-    return 0
-
-
-def run_effects(
-    args: argparse.Namespace, out: TextIO, err: TextIO
-) -> int:
-    """Execute ``repro lint effects ...``; always 0 unless usage error."""
-
-    def payload_of(model: ProjectModel) -> Dict[str, object]:
-        analysis = analyze(model)
-        findings, _ = model.unsuppressed(effect_findings(analysis))
-        return effect_report(analysis, findings,
-                             function=args.effects_function)
-
-    return _dump_table(args, out, err, payload_of, _render_effects_text)
-
-
-def run_units(
-    args: argparse.Namespace, out: TextIO, err: TextIO
-) -> int:
-    """Execute ``repro lint units ...``; always 0 unless usage error."""
-
-    def payload_of(model: ProjectModel) -> Dict[str, object]:
-        analysis = analyze_units(model)
-        findings, _ = model.unsuppressed(unit_findings(analysis))
-        return unit_report(analysis, findings,
-                           function=args.effects_function)
-
-    return _dump_table(args, out, err, payload_of, _render_units_text)
 
 
 def _render_units_text(
@@ -311,3 +262,11 @@ def _render_effects_text(
                 file=out,
             )
     _print_findings(payload, "effect", out)
+
+
+#: ``repro lint <view>``: the report table each view prints, and its
+#: text renderer.
+_VIEWS = {
+    "effects": (LintReport.effect_table, _render_effects_text),
+    "units": (LintReport.unit_table, _render_units_text),
+}

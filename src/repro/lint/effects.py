@@ -63,6 +63,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -70,11 +71,13 @@ from typing import (
 )
 
 from repro.lint.base import Rule
+from repro.lint.checkers import task_dispatches, unwrap_partial
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.project import (
     FunctionNode,
     ModuleInfo,
     ProjectModel,
+    is_internal,
     matches_function,
     render_chain,
     solve,
@@ -354,34 +357,31 @@ def _collect_binds(fn: FunctionNode) -> Tuple[Set[str], Set[str]]:
     if args.kwarg is not None:
         binds.add(args.kwarg.arg)
 
-    def walk(stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                binds.add(stmt.name)
+    def scan(nodes: Iterable[ast.AST]) -> None:
+        for child in nodes:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                binds.add(child.name)
                 continue  # nested scopes are separate nodes
-            if isinstance(stmt, ast.Global):
-                declared.update(stmt.names)
+            if isinstance(child, ast.Lambda):
                 continue
-            for child in ast.walk(stmt):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
-                if isinstance(child, ast.Name) and isinstance(
-                    child.ctx, (ast.Store, ast.Del)
-                ):
-                    binds.add(child.id)
-                elif isinstance(child, ast.ExceptHandler) and child.name:
-                    binds.add(child.name)
-                elif isinstance(child, ast.Import):
-                    for alias in child.names:
-                        binds.add(alias.asname
-                                  or alias.name.split(".")[0])
-                elif isinstance(child, ast.ImportFrom):
-                    for alias in child.names:
-                        binds.add(alias.asname or alias.name)
+            if isinstance(child, ast.Global):
+                declared.update(child.names)
+            elif isinstance(child, ast.Name) and isinstance(
+                child.ctx, (ast.Store, ast.Del)
+            ):
+                binds.add(child.id)
+            elif isinstance(child, ast.ExceptHandler) and child.name:
+                binds.add(child.name)
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    binds.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(child, ast.ImportFrom):
+                for alias in child.names:
+                    binds.add(alias.asname or alias.name)
+            scan(ast.iter_child_nodes(child))
 
-    walk(node.body)
+    scan(node.body)
     return binds - declared, declared
 
 
@@ -548,21 +548,14 @@ class _EffectCollector:
 def _resolve_callable_ref(
     model: ProjectModel, info: ModuleInfo, node: ast.expr
 ) -> Optional[str]:
-    """Function key for a bare callable reference (not a call)."""
+    """Function key for a bare callable reference (not a call);
+    ``functools.partial(fn, ...)`` resolves to ``fn``."""
+    node = unwrap_partial(info.source, node)
     if isinstance(node, ast.Call):
-        # functools.partial(fn, ...) — unwrap to the first argument.
-        ctor = info.source.resolve(node.func)
-        is_partial = ctor == "functools.partial" or (
-            isinstance(node.func, ast.Name) and node.func.id == "partial"
-        )
-        if is_partial and node.args:
-            return _resolve_callable_ref(model, info, node.args[0])
         return None
     resolved = info.source.resolve(node)
-    if resolved is not None and (
-        resolved == "repro" or resolved.startswith("repro.")
-    ):
-        return model._lookup_internal(resolved)
+    if resolved is not None and is_internal(resolved):
+        return model.lookup_internal(resolved)
     if isinstance(node, ast.Name):
         return info.functions.get(node.id)
     return None
@@ -574,44 +567,11 @@ def _lambda_targets(
     """Internal call targets inside a ``lambda: ...`` builder body."""
     keys: List[str] = []
     for child in ast.walk(node.body):
-        if not isinstance(child, ast.Call):
-            continue
-        key = _resolve_callable_ref(model, info, child.func)
-        if key is None:
-            resolved = info.source.resolve(child.func)
-            if resolved is not None and resolved.startswith("repro"):
-                key = model._lookup_internal(resolved)
-        if key is not None:
-            keys.append(key)
+        if isinstance(child, ast.Call):
+            key = _resolve_callable_ref(model, info, child.func)
+            if key is not None:
+                keys.append(key)
     return keys
-
-
-def _is_task_dispatch(info: ModuleInfo, node: ast.Call) -> bool:
-    func = node.func
-    resolved = info.source.resolve(func)
-    if resolved is not None and (
-        resolved == "map_tasks" or resolved.endswith(".map_tasks")
-    ):
-        return True
-    if (
-        resolved is None
-        and isinstance(func, ast.Name)
-        and func.id == "map_tasks"
-    ):
-        return True
-    if isinstance(func, ast.Attribute) and func.attr in ("map", "submit"):
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            return "scheduler" in receiver.id.lower()
-        if isinstance(receiver, ast.Call):
-            ctor = info.source.resolve(receiver.func)
-            if ctor is not None and ctor.endswith("TaskScheduler"):
-                return True
-            return (
-                isinstance(receiver.func, ast.Name)
-                and receiver.func.id == "TaskScheduler"
-            )
-    return False
 
 
 def _discover_entries(
@@ -623,18 +583,16 @@ def _discover_entries(
     for name in sorted(model.modules):
         info = model.modules[name]
         path = info.source.display_path
+        for node in task_dispatches(info.source):
+            via = ("map_tasks" if not isinstance(node.func, ast.Attribute)
+                   else f"scheduler.{node.func.attr}")
+            key = _resolve_callable_ref(model, info, node.args[0])
+            if key is not None:
+                tasks.setdefault((key, path, node.lineno), EntryPoint(
+                    key=key, site_path=path, site_line=node.lineno, via=via,
+                ))
         for raw in info.raw_calls:
             node = raw.node
-            if _is_task_dispatch(info, node) and node.args:
-                via = ("map_tasks"
-                       if not isinstance(node.func, ast.Attribute)
-                       else f"scheduler.{node.func.attr}")
-                key = _resolve_callable_ref(model, info, node.args[0])
-                if key is not None:
-                    entry = EntryPoint(key=key, site_path=path,
-                                       site_line=node.lineno, via=via)
-                    tasks.setdefault((key, path, node.lineno), entry)
-                continue
             func = node.func
             if not (isinstance(func, ast.Attribute)
                     and func.attr == "get_or_build"):
@@ -654,10 +612,10 @@ def _discover_entries(
                 resolved_key = _resolve_callable_ref(model, info, build)
                 keys = [resolved_key] if resolved_key is not None else []
             for key in keys:
-                entry = EntryPoint(key=key, site_path=path,
-                                   site_line=node.lineno,
-                                   via="get_or_build")
-                builders.setdefault((key, path, node.lineno), entry)
+                builders.setdefault((key, path, node.lineno), EntryPoint(
+                    key=key, site_path=path, site_line=node.lineno,
+                    via="get_or_build",
+                ))
     return (
         [tasks[k] for k in sorted(tasks)],
         [builders[k] for k in sorted(builders)],
@@ -791,7 +749,7 @@ def _reached_sites(
     analysis: EffectAnalysis,
     start: str,
     rule_id: str,
-    sites_of: Callable[[LocalEffect], List[_Site]],
+    sites_of: Callable[[EffectAnalysis, LocalEffect], List[_Site]],
     seen: Set[Tuple[str, str]],
 ) -> Iterator[Tuple[str, str, str]]:
     """``(target, verb, chain)`` per new target reachable from ``start``.
@@ -808,7 +766,7 @@ def _reached_sites(
             continue
         node = model.functions[reached]
         source = model.modules[node.module].source
-        for target, line, verb in sites_of(effect):
+        for target, line, verb in sites_of(analysis, effect):
             if (start, target) in seen or source.is_suppressed(
                 rule_id, line
             ):
@@ -819,159 +777,122 @@ def _reached_sites(
                                              terminal)
 
 
-def check_shared_mutable_globals(
-    analysis: EffectAnalysis,
-) -> List[Finding]:
-    """Task-reachable writes to unmerged module globals."""
-    model = analysis.model
-
-    def unmerged_writes(effect: LocalEffect) -> List[_Site]:
-        return [
-            site for site in _sites(effect.writes, "mutates")
-            if site[0] not in MERGE_BACK_REGISTRY
-            and analysis.globals[site[0]].kind != "contextvar"
-        ]
-
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for entry in analysis.task_entries:
-        for target, _, chain in _reached_sites(
-            analysis, entry.key, SHARED_MUTABLE_GLOBAL, unmerged_writes,
-            seen,
-        ):
-            node = model.functions[entry.key]
-            findings.append(Finding(
-                rule_id=SHARED_MUTABLE_GLOBAL,
-                path=node.path,
-                line=node.line,
-                message=(
-                    f"fork task {node.qualname} mutates module-level "
-                    f"{target} with no registered merge-back hook: "
-                    f"{chain}; worker-local mutations are dropped at "
-                    f"join — return the state with the task result "
-                    f"or register a merge-back "
-                    f"(repro.lint.effects.MERGE_BACK_REGISTRY)"
-                ),
-            ))
-    return findings
+def _unmerged_writes(
+    analysis: EffectAnalysis, effect: LocalEffect
+) -> List[_Site]:
+    return [
+        site for site in _sites(effect.writes, "mutates")
+        if site[0] not in MERGE_BACK_REGISTRY
+        and analysis.globals[site[0]].kind != "contextvar"
+    ]
 
 
-def check_cache_key_escape(analysis: EffectAnalysis) -> List[Finding]:
-    """Cache builders reading state outside their key arguments."""
-    model = analysis.model
-
-    def escapes(effect: LocalEffect) -> List[_Site]:
-        return [*_sites(effect.reads, "reads module state"),
-                *_sites(effect.writes, "mutates module state"),
-                *_sites(effect.io, "performs IO via")]
-
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for entry in analysis.cache_builders:
-        for target, verb, chain in _reached_sites(
-            analysis, entry.key, CACHE_KEY_ESCAPE, escapes, seen
-        ):
-            node = model.functions[entry.key]
-            findings.append(Finding(
-                rule_id=CACHE_KEY_ESCAPE,
-                path=node.path,
-                line=node.line,
-                message=(
-                    f"cache builder {node.qualname} (registered at "
-                    f"{entry.site_path}:{entry.site_line}) {verb} "
-                    f"{target}, which is not derivable from its key "
-                    f"arguments: {chain}; a stale hit returns a "
-                    f"value built from state the key never saw"
-                ),
-            ))
-    return findings
+def _key_escapes(
+    analysis: EffectAnalysis, effect: LocalEffect
+) -> List[_Site]:
+    return [*_sites(effect.reads, "reads module state"),
+            *_sites(effect.writes, "mutates module state"),
+            *_sites(effect.io, "performs IO via")]
 
 
-def check_impure_event_handlers(
-    analysis: EffectAnalysis,
-) -> List[Finding]:
-    """Handlers whose effects escape engine-owned instance state."""
-    model = analysis.model
-
-    def impure(effect: LocalEffect) -> List[_Site]:
-        return [*_sites(effect.writes, "writes"),
-                *_sites(effect.io, "performs IO via")]
-
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for handler in analysis.event_handlers:
-        for target, verb, chain in _reached_sites(
-            analysis, handler, IMPURE_EVENT_HANDLER, impure, seen
-        ):
-            node = model.functions[handler]
-            findings.append(Finding(
-                rule_id=IMPURE_EVENT_HANDLER,
-                path=node.path,
-                line=node.line,
-                message=(
-                    f"event handler {node.qualname} {verb} {target} "
-                    f"outside engine-owned state: {chain}; the "
-                    f"batched loop reorders whole slices, so handler "
-                    f"effects must stay on the engine instance"
-                ),
-            ))
-    return findings
+def _impure_sites(
+    analysis: EffectAnalysis, effect: LocalEffect
+) -> List[_Site]:
+    return [*_sites(effect.writes, "writes"),
+            *_sites(effect.io, "performs IO via")]
 
 
-def check_fork_held_resources(
-    analysis: EffectAnalysis,
-) -> List[Finding]:
-    """Pre-fork module-level resources used by task-reachable code."""
-    model = analysis.model
-    resources = {
-        key for key, var in analysis.globals.items()
-        if var.kind == "resource"
-    }
-    if not resources:
-        return []
+def _resource_uses(
+    analysis: EffectAnalysis, effect: LocalEffect
+) -> List[_Site]:
+    first: Dict[str, int] = {}
+    for table in (effect.reads, effect.writes):
+        for target, line in table.items():
+            if analysis.globals[target].kind == "resource" and (
+                target not in first or line < first[target]
+            ):
+                first[target] = line
+    return _sites(first, "uses")
 
-    def uses(effect: LocalEffect) -> List[_Site]:
-        first: Dict[str, int] = {}
-        for table in (effect.reads, effect.writes):
-            for target, line in table.items():
-                if target in resources and (
-                    target not in first or line < first[target]
-                ):
-                    first[target] = line
-        return _sites(first, "uses")
 
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, str]] = set()
-    for entry in analysis.task_entries:
-        for target, _, chain in _reached_sites(
-            analysis, entry.key, FORK_HELD_RESOURCE, uses, seen
-        ):
-            node = model.functions[entry.key]
-            var = analysis.globals[target]
-            findings.append(Finding(
-                rule_id=FORK_HELD_RESOURCE,
-                path=node.path,
-                line=node.line,
-                message=(
-                    f"fork task {node.qualname} uses {target}, an OS "
-                    f"resource created at import time "
-                    f"({var.path}:{var.line}) and inherited across "
-                    f"fork: {chain}; open it inside the task (or "
-                    f"after the pool starts) so workers get their "
-                    f"own handle"
-                ),
-            ))
-    return findings
+def _tasks(analysis: EffectAnalysis) -> List[Tuple[str, str]]:
+    return [(e.key, "") for e in analysis.task_entries]
+
+
+def _builders(analysis: EffectAnalysis) -> List[Tuple[str, str]]:
+    return [(e.key, f"{e.site_path}:{e.site_line}")
+            for e in analysis.cache_builders]
+
+
+def _handlers(analysis: EffectAnalysis) -> List[Tuple[str, str]]:
+    return [(key, "") for key in analysis.event_handlers]
+
+
+class _EffectRule(NamedTuple):
+    """One effect rule: it walks from every ``(entry key, registration
+    site)`` that ``entries`` yields and reports, once per entry and
+    target, the nearest site that ``sites`` finds."""
+
+    rule_id: str
+    entries: Callable[[EffectAnalysis], List[Tuple[str, str]]]
+    sites: Callable[[EffectAnalysis, LocalEffect], List[_Site]]
+    #: Formatted with the entry's qualname ``fn``, the ``target``, the
+    #: site's ``verb``, the call ``chain``, the entry's registration
+    #: ``site`` and the target global's definition ``origin``.
+    message: str
+
+
+_EFFECT_RULES: Tuple[_EffectRule, ...] = (
+    _EffectRule(
+        SHARED_MUTABLE_GLOBAL, _tasks, _unmerged_writes,
+        "fork task {fn} mutates module-level {target} with no registered "
+        "merge-back hook: {chain}; worker-local mutations are dropped at "
+        "join — return the state with the task result or register a "
+        "merge-back (repro.lint.effects.MERGE_BACK_REGISTRY)",
+    ),
+    _EffectRule(
+        CACHE_KEY_ESCAPE, _builders, _key_escapes,
+        "cache builder {fn} (registered at {site}) {verb} {target}, which "
+        "is not derivable from its key arguments: {chain}; a stale hit "
+        "returns a value built from state the key never saw",
+    ),
+    _EffectRule(
+        IMPURE_EVENT_HANDLER, _handlers, _impure_sites,
+        "event handler {fn} {verb} {target} outside engine-owned state: "
+        "{chain}; the batched loop reorders whole slices, so handler "
+        "effects must stay on the engine instance",
+    ),
+    _EffectRule(
+        FORK_HELD_RESOURCE, _tasks, _resource_uses,
+        "fork task {fn} uses {target}, an OS resource created at import "
+        "time ({origin}) and inherited across fork: {chain}; open it "
+        "inside the task (or after the pool starts) so workers get their "
+        "own handle",
+    ),
+)
 
 
 def effect_findings(analysis: EffectAnalysis) -> List[Finding]:
     """All four rules, canonically ordered (site pragmas applied)."""
-    return sort_findings([
-        *check_shared_mutable_globals(analysis),
-        *check_cache_key_escape(analysis),
-        *check_impure_event_handlers(analysis),
-        *check_fork_held_resources(analysis),
-    ])
+    model = analysis.model
+    findings: List[Finding] = []
+    for rule_id, entries, sites_of, template in _EFFECT_RULES:
+        seen: Set[Tuple[str, str]] = set()
+        for start, site in entries(analysis):
+            node = model.functions[start]
+            for target, verb, chain in _reached_sites(
+                analysis, start, rule_id, sites_of, seen
+            ):
+                var = analysis.globals.get(target)
+                origin = "" if var is None else f"{var.path}:{var.line}"
+                findings.append(Finding(
+                    rule_id=rule_id, path=node.path, line=node.line,
+                    message=template.format(
+                        fn=node.qualname, target=target, verb=verb,
+                        chain=chain, site=site, origin=origin,
+                    ),
+                ))
+    return sort_findings(findings)
 
 
 def effect_rule_catalog() -> Dict[str, str]:

@@ -77,13 +77,13 @@ from typing import (
 
 from repro.lint.base import Rule
 from repro.lint.checkers import (
-    NUMPY_RNG_ALLOWED,
     RNG_NUMPY_GLOBAL,
     RNG_STDLIB,
     SIM_WALLCLOCK,
     WALLCLOCK_BANNED,
+    rng_sink_rule,
 )
-from repro.lint.findings import Finding, sort_findings
+from repro.lint.findings import Finding
 from repro.lint.source import SourceFile
 
 TRANSITIVE_WALLCLOCK = "transitive-wallclock"
@@ -220,6 +220,12 @@ def module_name_for(display_path: str) -> str:
         return stem
     dotted = parts[anchor:-1] + ([] if stem == "__init__" else [stem])
     return ".".join(dotted) if dotted else stem
+
+
+def is_internal(dotted: str) -> bool:
+    """Does a resolved dotted path name something in the ``repro``
+    package (and so possibly a function of the model)?"""
+    return dotted == "repro" or dotted.startswith("repro.")
 
 
 def _is_factory_expr(source: SourceFile, node: ast.expr) -> bool:
@@ -480,8 +486,8 @@ class ProjectModel:
         line = raw.node.lineno
         resolved = info.source.resolve(func)
         if resolved is not None:
-            if resolved == "repro" or resolved.startswith("repro."):
-                key = self._lookup_internal(resolved)
+            if is_internal(resolved):
+                key = self.lookup_internal(resolved)
                 if key is None:
                     return None
                 return CallEdge(target=key, line=line, internal=True)
@@ -516,10 +522,8 @@ class ProjectModel:
     ) -> Optional[str]:
         """Key of ``Class.method`` for a tracked constructor expression."""
         resolved = info.source.resolve(ctor)
-        if resolved is not None and (
-            resolved == "repro" or resolved.startswith("repro.")
-        ):
-            return self._lookup_internal(f"{resolved}.{method}")
+        if resolved is not None and is_internal(resolved):
+            return self.lookup_internal(f"{resolved}.{method}")
         if isinstance(ctor, ast.Name) and ctor.id in info.classes:
             return info.functions.get(f"{ctor.id}.{method}")
         return None
@@ -532,7 +536,7 @@ class ProjectModel:
             return info.functions.get(f"{name}.__init__")
         return None
 
-    def _lookup_internal(
+    def lookup_internal(
         self, dotted: str, _seen: Optional[Set[str]] = None
     ) -> Optional[str]:
         """Function key for an imported ``repro.*`` dotted path.
@@ -562,7 +566,7 @@ class ProjectModel:
             if alias is not None:
                 rest = remainder[1:]
                 target = ".".join([alias, *rest]) if rest else alias
-                return self._lookup_internal(target, seen)
+                return self.lookup_internal(target, seen)
             return None
         return None
 
@@ -629,7 +633,7 @@ def matches_function(
 
 def _compute_chains(
     model: ProjectModel,
-    is_sink: "_SinkPredicate",
+    is_sink: Callable[[str], bool],
     sink_rules: Tuple[str, ...],
     stop_modules: "frozenset[str]",
 ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, _Sink]]:
@@ -674,23 +678,6 @@ def _compute_chains(
     return chains, direct
 
 
-class _SinkPredicate:
-    """Picklable/deterministic callable wrapper for sink tests."""
-
-    def __init__(self, kind: str) -> None:
-        self._kind = kind
-
-    def __call__(self, target: str) -> bool:
-        if self._kind == "wallclock":
-            return target in WALLCLOCK_BANNED
-        if target == "random" or target.startswith("random."):
-            return True
-        if target.startswith("numpy.random."):
-            tail = target.split(".")[2]
-            return tail not in NUMPY_RNG_ALLOWED
-        return False
-
-
 def _in_entry_dirs(path: str) -> bool:
     directories = path.split("/")[:-1]
     return any(part in _ENTRY_DIRS for part in directories)
@@ -699,7 +686,7 @@ def _in_entry_dirs(path: str) -> bool:
 def _taint_findings(
     model: ProjectModel,
     rule_id: str,
-    is_sink: _SinkPredicate,
+    is_sink: Callable[[str], bool],
     sink_rules: Tuple[str, ...],
     stop_modules: "frozenset[str]",
     advice: str,
@@ -737,7 +724,7 @@ def check_transitive_wallclock(model: ProjectModel) -> List[Finding]:
     return _taint_findings(
         model,
         TRANSITIVE_WALLCLOCK,
-        _SinkPredicate("wallclock"),
+        WALLCLOCK_BANNED.__contains__,
         sink_rules=(SIM_WALLCLOCK, TRANSITIVE_WALLCLOCK),
         stop_modules=_WALLCLOCK_STOP_MODULES,
         advice=("route host-clock reads through "
@@ -750,7 +737,7 @@ def check_transitive_rng(model: ProjectModel) -> List[Finding]:
     return _taint_findings(
         model,
         TRANSITIVE_RNG,
-        _SinkPredicate("rng"),
+        lambda target: rng_sink_rule(target) is not None,
         sink_rules=(RNG_STDLIB, RNG_NUMPY_GLOBAL, TRANSITIVE_RNG),
         stop_modules=_RNG_STOP_MODULES,
         advice="draw from a seeded RngFactory stream (repro.utils.rng)",
@@ -810,38 +797,3 @@ def check_stream_labels(model: ProjectModel) -> List[Finding]:
                 )
             )
     return findings
-
-
-def run_project_passes(
-    sources: Sequence[SourceFile],
-) -> Tuple[List[Finding], int]:
-    """Run every cross-module pass; returns ``(findings, suppressed)``.
-
-    Findings are anchored at definitions/call sites in the analysed
-    files, so the usual pragma rules apply at the anchor line.
-    """
-    # Imported lazily: effects/units build on this module, so top-level
-    # imports would be circular.
-    from repro.lint.effects import analyze, effect_findings
-    from repro.lint.units import analyze_units, unit_findings
-
-    model = ProjectModel.build(sources)
-    return model.unsuppressed(sort_findings([
-        *check_transitive_wallclock(model),
-        *check_transitive_rng(model),
-        *check_stream_labels(model),
-        *effect_findings(analyze(model)),
-        *unit_findings(analyze_units(model)),
-    ]))
-
-
-def project_rule_catalog() -> Dict[str, str]:
-    """``rule id -> summary`` for the cross-module rules."""
-    from repro.lint.effects import effect_rule_catalog
-    from repro.lint.units import unit_rule_catalog
-
-    return {
-        **{rule.rule_id: rule.summary for rule in PROJECT_RULES},
-        **effect_rule_catalog(),
-        **unit_rule_catalog(),
-    }

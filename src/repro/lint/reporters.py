@@ -2,7 +2,8 @@
 
 Both formats list findings in the canonical order and end with the same
 summary counts, so a CI log and a machine-read JSON artifact always
-agree about what failed.
+agree about what failed.  The JSON report also nests the run's
+whole-program ``effects`` and ``units`` tables.
 """
 
 from __future__ import annotations
@@ -63,4 +64,8 @@ def render_json(report: LintReport) -> str:
         "grandfathered": encode(report.grandfathered),
         "summary": _summary(report),
     }
+    if report.effects is not None:
+        payload["effects"] = report.effect_table()
+    if report.units is not None:
+        payload["units"] = report.unit_table()
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

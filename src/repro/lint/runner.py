@@ -1,24 +1,51 @@
 """File discovery and the lint pass itself.
 
 :func:`lint_paths` is the library entry point: it walks the requested
-files/directories in sorted order, runs every checker over each parsed
-file, applies inline pragma suppressions and the baseline, and returns a
-:class:`LintReport` whose findings are canonically ordered — two runs
-over the same tree produce byte-identical reports.
+files/directories in sorted order, parses each file once, runs every
+checker over each parsed file, builds one
+:class:`~repro.lint.project.ProjectModel` and runs the taint, effect
+and unit passes over it once, applies inline pragma suppressions and
+the baseline, and returns a :class:`LintReport` whose findings are
+canonically ordered — two runs over the same tree produce
+byte-identical reports.  The report also carries the effect and unit
+analyses, so ``repro lint effects`` / ``repro lint units`` and the
+JSON report's ``effects`` / ``units`` tables are views of that one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.lint.base import Checker
+from repro.lint.base import Checker, Rule
 from repro.lint.baseline import Baseline
 from repro.lint.checkers import default_checkers
+from repro.lint.effects import (
+    EFFECT_RULES,
+    EffectAnalysis,
+    analyze,
+    effect_findings,
+    effect_report,
+    effect_rule_catalog,
+)
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.project import run_project_passes
+from repro.lint.project import (
+    PROJECT_RULES,
+    ProjectModel,
+    check_stream_labels,
+    check_transitive_rng,
+    check_transitive_wallclock,
+)
 from repro.lint.source import SourceFile
+from repro.lint.units import (
+    UNIT_RULES,
+    UnitAnalysis,
+    analyze_units,
+    unit_findings,
+    unit_report,
+    unit_rule_catalog,
+)
 
 #: Pseudo-rule for files the linter cannot parse at all.  Not part of
 #: any checker: a syntax error defeats every other check, so it is
@@ -40,6 +67,9 @@ class LintReport:
     suppressed: int = 0
     files_checked: int = 0
     checked_files: List[str] = field(default_factory=list)
+    #: The whole-program analyses of the linted tree.
+    effects: Optional[EffectAnalysis] = None
+    units: Optional[UnitAnalysis] = None
 
     @property
     def clean(self) -> bool:
@@ -49,6 +79,31 @@ class LintReport:
     def all_findings(self) -> List[Finding]:
         """New + grandfathered findings, canonically ordered."""
         return sort_findings([*self.findings, *self.grandfathered])
+
+    def effect_table(
+        self, function: Optional[str] = None
+    ) -> Dict[str, object]:
+        """The effect table and the effect rules' findings (baselined
+        ones included), as ``repro lint effects --format json`` prints
+        it and the JSON report nests it under ``effects``."""
+        assert self.effects is not None
+        return effect_report(
+            self.effects, self._findings_of(EFFECT_RULES), function
+        )
+
+    def unit_table(
+        self, function: Optional[str] = None
+    ) -> Dict[str, object]:
+        """The unit table and the dimensional rules' findings (baselined
+        ones included), as ``repro lint units --format json`` prints it
+        and the JSON report nests it under ``units``."""
+        assert self.units is not None
+        return unit_report(self.units, self._findings_of(UNIT_RULES),
+                           function)
+
+    def _findings_of(self, rules: Sequence[Rule]) -> List[Finding]:
+        ids = {rule.rule_id for rule in rules}
+        return [f for f in self.all_findings if f.rule_id in ids]
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -134,6 +189,48 @@ def load_sources(
     ]
 
 
+def lint_sources(
+    sources: Sequence[SourceFile],
+    checkers: Optional[Sequence[Checker]] = None,
+    baseline: Optional[Baseline] = None,
+) -> LintReport:
+    """Lint already-parsed sources: the body of :func:`lint_paths`.
+
+    Runs the per-file ``checkers`` (default: every built-in one) over
+    each source, then builds one :class:`ProjectModel` and runs the
+    taint, effect and unit passes over it once.  Whole-program findings
+    are anchored at definitions and call sites, so the usual pragma
+    rules apply at the anchor line.
+    """
+    active = list(checkers) if checkers is not None else list(default_checkers())
+    report = LintReport()
+    collected: List[Finding] = []
+    for source in sources:
+        findings, suppressed = lint_source(source, active)
+        collected.extend(findings)
+        report.suppressed += suppressed
+        report.files_checked += 1
+        report.checked_files.append(source.display_path)
+    model = ProjectModel.build(sources)
+    report.effects = analyze(model)
+    report.units = analyze_units(model)
+    project_findings, project_suppressed = model.unsuppressed([
+        *check_transitive_wallclock(model),
+        *check_transitive_rng(model),
+        *check_stream_labels(model),
+        *effect_findings(report.effects),
+        *unit_findings(report.units),
+    ])
+    collected.extend(project_findings)
+    report.suppressed += project_suppressed
+    collected = sort_findings(collected)
+    if baseline is not None:
+        report.findings, report.grandfathered = baseline.partition(collected)
+    else:
+        report.findings = collected
+    return report
+
+
 def lint_paths(
     paths: Sequence[Path],
     checkers: Optional[Sequence[Checker]] = None,
@@ -143,26 +240,16 @@ def lint_paths(
     """Lint every Python file under ``paths`` and build the report.
 
     ``root`` anchors the relative paths used in findings and baseline
-    keys (defaults to the current working directory).  The
-    cross-module passes in :mod:`repro.lint.project` run over the same
-    parsed sources, so every file is read and parsed exactly once.
+    keys (defaults to the current working directory).  Every file is
+    read and parsed exactly once, and the project model is built once.
     """
-    active = list(checkers) if checkers is not None else list(default_checkers())
-    report = LintReport()
-    collected: List[Finding] = []
-    sources = load_sources(paths, root=root)
-    for source in sources:
-        findings, suppressed = lint_source(source, active)
-        collected.extend(findings)
-        report.suppressed += suppressed
-        report.files_checked += 1
-        report.checked_files.append(source.display_path)
-    project_findings, project_suppressed = run_project_passes(sources)
-    collected.extend(project_findings)
-    report.suppressed += project_suppressed
-    collected = sort_findings(collected)
-    if baseline is not None:
-        report.findings, report.grandfathered = baseline.partition(collected)
-    else:
-        report.findings = collected
-    return report
+    return lint_sources(load_sources(paths, root=root), checkers, baseline)
+
+
+def project_rule_catalog() -> Dict[str, str]:
+    """``rule id -> summary`` for the cross-module rules."""
+    return {
+        **{rule.rule_id: rule.summary for rule in PROJECT_RULES},
+        **effect_rule_catalog(),
+        **unit_rule_catalog(),
+    }

@@ -1,7 +1,8 @@
 """Parsed source files and the shared AST facts checkers query.
 
 :class:`SourceFile` loads a file once and precomputes everything every
-checker needs: the AST, a child->parent map (for "is this call wrapped
+checker needs: the AST, its nodes in :func:`ast.walk` order (so the
+checkers share one walk), a child->parent map (for "is this call wrapped
 in ``sorted(...)``" questions), an import-alias map that resolves local
 names back to canonical dotted module paths (``np.random.seed`` and
 ``from numpy import random; random.seed`` both resolve to
@@ -15,7 +16,7 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 _PRAGMA = re.compile(r"#\s*repro-lint:\s*allow\[([^\]]*)\]")
 
@@ -29,7 +30,10 @@ def parse_pragmas(text: str) -> Dict[int, FrozenSet[str]]:
     Returns ``line -> frozenset of rule ids`` (possibly containing
     :data:`ALLOW_ALL`).  Only real comment tokens are honoured, so a
     pragma spelled inside a string literal does not suppress anything.
+    Text without ``repro-lint`` cannot match, so it is not tokenized.
     """
+    if "repro-lint" not in text:
+        return {}
     pragmas: Dict[int, Set[str]] = {}
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
@@ -51,7 +55,7 @@ def parse_pragmas(text: str) -> Dict[int, FrozenSet[str]]:
     return {line: frozenset(rules) for line, rules in pragmas.items()}
 
 
-def build_import_aliases(tree: ast.AST) -> Dict[str, str]:
+def build_import_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local names to the canonical dotted path they import.
 
     ``import numpy as np`` maps ``np -> numpy``; ``import numpy.random``
@@ -61,7 +65,7 @@ def build_import_aliases(tree: ast.AST) -> Dict[str, str]:
     (they never denote the stdlib/numpy surfaces the checkers police).
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.asname is not None:
@@ -109,8 +113,10 @@ class SourceFile:
         except SyntaxError as exc:
             self.parse_error = exc
             self.tree = ast.Module(body=[], type_ignores=[])
+        #: Every node of the tree, in :func:`ast.walk` order.
+        self.nodes: List[ast.AST] = list(ast.walk(self.tree))
         self.suppressions = parse_pragmas(text)
-        self.aliases = build_import_aliases(self.tree)
+        self.aliases = build_import_aliases(self.nodes)
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
     @property
@@ -118,7 +124,7 @@ class SourceFile:
         """Child node -> parent node map (built lazily, once)."""
         if self._parents is None:
             parents: Dict[ast.AST, ast.AST] = {}
-            for parent in ast.walk(self.tree):
+            for parent in self.nodes:
                 for child in ast.iter_child_nodes(parent):
                     parents[child] = parent
             self._parents = parents

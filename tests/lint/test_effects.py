@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 from repro.cli import main
-from repro.lint import SourceFile, run_project_passes
+from repro.lint import SourceFile, lint_sources
 from repro.lint.effects import (
     CACHE_KEY_ESCAPE,
     FORK_HELD_RESOURCE,
@@ -146,6 +146,87 @@ class TestSharedMutableGlobal:
         assert triples == [
             (SHARED_MUTABLE_GLOBAL, "src/repro/exp/work.py", 4)
         ]
+
+    def test_name_bound_to_a_task_scheduler_is_a_dispatch(self):
+        # The same dispatch predicate as the fork-safety checker: a
+        # receiver assigned ``TaskScheduler(...)`` need not be called
+        # ``scheduler``.
+        analysis = build_analysis(
+            (
+                "src/repro/exp/pooled.py",
+                """\
+                from repro.runtime import TaskScheduler
+
+                from repro.exp.work2 import work2
+
+
+                def run(xs):
+                    pool = TaskScheduler(2)
+                    return pool.map(work2, xs)
+                """,
+            ),
+            (
+                "src/repro/exp/work2.py",
+                """\
+                _SEEN = {}
+
+
+                def work2(x):
+                    _SEEN[x] = True
+                    return x
+                """,
+            ),
+        )
+        [entry] = analysis.task_entries
+        assert (entry.key, entry.via) == (
+            "repro.exp.work2:work2", "scheduler.map"
+        )
+        triples, _ = effect_triples(analysis)
+        assert triples == [
+            (SHARED_MUTABLE_GLOBAL, "src/repro/exp/work2.py", 4)
+        ]
+
+
+class TestBindScopes:
+    """A function's own scope ends at nested defs, at any depth."""
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_nested_def_locals_do_not_shadow_the_global(self, guarded):
+        helper = textwrap.indent(textwrap.dedent("""\
+            def helper():
+                STATE = {}
+                return STATE
+            """), "        " if guarded else "    ")
+        work = (
+            "STATE = {}\n\n\ndef unit(x):\n"
+            + ("    if x:\n" if guarded else "")
+            + helper
+            + "    STATE['k'] = x\n    return x\n"
+        )
+        triples, findings = effect_triples(
+            build_analysis(DRIVER, ("src/repro/exp/work.py", work))
+        )
+        assert triples == [
+            (SHARED_MUTABLE_GLOBAL, "src/repro/exp/work.py", 4)
+        ]
+        assert "unit -> repro.exp.work:STATE" in findings[0].message
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_global_declared_in_a_compound_statement(self, guarded):
+        body = "    global COUNT\n    COUNT = COUNT + x\n"
+        work = (
+            "COUNT = 0\n\n\ndef unit(x):\n"
+            + ("    if x:\n" + textwrap.indent(body, "    ")
+               if guarded else body)
+            + "    return x\n"
+        )
+        triples, findings = effect_triples(
+            build_analysis(DRIVER, ("src/repro/exp/work.py", work))
+        )
+        assert triples == [
+            (SHARED_MUTABLE_GLOBAL, "src/repro/exp/work.py", 4)
+        ]
+        assert "unit -> repro.exp.work:COUNT" in findings[0].message
 
 
 class TestCacheKeyEscape:
@@ -444,11 +525,11 @@ class TestPragmas:
                 _TOTALS[item] = 1
             """),
         )
-        findings, suppressed = run_project_passes([driver, work])
+        report = lint_sources([driver, work], checkers=())
         assert [
-            f for f in findings if f.rule_id == SHARED_MUTABLE_GLOBAL
+            f for f in report.findings if f.rule_id == SHARED_MUTABLE_GLOBAL
         ] == []
-        assert suppressed >= 1
+        assert report.suppressed >= 1
 
     def test_site_pragma_suppresses_at_the_effect_line(self):
         triples, _ = effect_triples(build_analysis(
@@ -523,6 +604,11 @@ def fixture_tree(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.fixture
+def lint_tree(fixture_tree):
+    return fixture_tree
+
+
 class TestEffectsCli:
     def test_json_dump_is_deterministic_and_exits_zero(
         self, fixture_tree, capsys
@@ -559,6 +645,14 @@ class TestEffectsCli:
     def test_missing_path_exits_two(self, fixture_tree, capsys):
         assert main(["lint", "effects", "nope"]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_the_gating_report_nests_the_view(self, single_run):
+        assert [f["rule"] for f in single_run["findings"]] == [
+            SHARED_MUTABLE_GLOBAL
+        ]
+        assert [f["rule"] for f in single_run["effects"]["findings"]] == [
+            SHARED_MUTABLE_GLOBAL
+        ]
 
 
 class TestGateIntegration:

@@ -1,14 +1,15 @@
 """Cross-module passes: call graph, taint chains, stream labels, solver.
 
 Each test assembles a miniature ``src/repro`` tree out of in-memory
-:class:`SourceFile` objects and runs :func:`run_project_passes` over
-it, asserting the exact (rule id, path, line) triples — and, for the
-taint rules, the rendered call chain in the message.
+:class:`SourceFile` objects and runs the whole-program passes of
+:func:`lint_sources` over it (no per-file checkers), asserting the
+exact (rule id, path, line) triples — and, for the taint rules, the
+rendered call chain in the message.
 """
 
 import textwrap
 
-from repro.lint import SourceFile, run_project_passes
+from repro.lint import SourceFile, lint_sources
 from repro.lint.effects import analyze, effect_findings
 from repro.lint.project import (
     MODULE_SCOPE,
@@ -26,8 +27,10 @@ def make_source(path, snippet):
 
 def run_passes(*path_snippets):
     sources = [make_source(path, text) for path, text in path_snippets]
-    findings, suppressed = run_project_passes(sources)
-    return [(f.rule_id, f.path, f.line) for f in findings], findings, suppressed
+    report = lint_sources(sources, checkers=())
+    findings = report.findings
+    triples = [(f.rule_id, f.path, f.line) for f in findings]
+    return triples, findings, report.suppressed
 
 
 class TestModuleNaming:

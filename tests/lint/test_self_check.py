@@ -225,6 +225,14 @@ def test_units_dump_over_src_is_deterministic(monkeypatch, capsys):
     assert backoff["returns"] == "ms duration"
 
 
+def test_one_run_over_src_gates_and_nests_both_tables(single_run):
+    """``repro lint --format json`` over ``src/`` models the tree once;
+    its ``effects`` / ``units`` keys are the two views' payloads."""
+    assert single_run["clean"] is True
+    assert single_run["effects"]["findings"] == []
+    assert single_run["units"]["findings"] == []
+
+
 def test_seeded_unit_mismatch_in_figure_runner_is_caught(tmp_path):
     """A seconds slot fed milliseconds inside a real runner fails lint.
 

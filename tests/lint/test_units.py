@@ -446,6 +446,11 @@ def fixture_tree(tmp_path, monkeypatch):
     return tmp_path
 
 
+@pytest.fixture
+def lint_tree(fixture_tree):
+    return fixture_tree
+
+
 class TestUnitsCli:
     def test_json_dump_is_deterministic_and_exits_zero(
         self, fixture_tree, capsys
@@ -480,6 +485,11 @@ class TestUnitsCli:
     def test_missing_path_exits_two(self, fixture_tree, capsys):
         assert main(["lint", "units", "nope"]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_the_gating_report_nests_the_view(self, single_run):
+        rules = [TIME_DOMAIN_MIXING, UNIT_MISMATCH, UNIT_MISMATCH]
+        assert sorted(f["rule"] for f in single_run["findings"]) == rules
+        assert [f["rule"] for f in single_run["units"]["findings"]] == rules
 
     def test_list_rules_includes_the_dimensional_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
